@@ -333,8 +333,16 @@ Dataset<std::pair<std::uint32_t, std::vector<double>>> SkatPipeline::BuildU(
   });
 }
 
-SetScores SkatPipeline::SetScoresFromInnerSigma(
-    const Dataset<std::pair<std::uint32_t, double>>& inner_sigma) const {
+SetScores SkatPipeline::SetScoresFromU(
+    const Dataset<std::pair<std::uint32_t, std::vector<double>>>& u) const {
+  // Step 8: U_j² = (Σ_i U_ij)².
+  auto inner_sigma = u.Map(
+      [](const std::pair<std::uint32_t, std::vector<double>>& record) {
+        double total = 0.0;
+        for (double contribution : record.second) total += contribution;
+        return std::pair<std::uint32_t, double>(record.first, total * total);
+      });
+
   // Step 9: join with squared weights. Step 10: per-SNP score.
   auto joined = engine::Join(weights_sq_, inner_sigma, config_.num_reducers);
   auto snp_scores =
@@ -369,18 +377,6 @@ SetScores SkatPipeline::SetScoresFromInnerSigma(
   return observed;
 }
 
-SetScores SkatPipeline::SetScoresFromU(
-    const Dataset<std::pair<std::uint32_t, std::vector<double>>>& u) const {
-  // Step 8: U_j² = (Σ_i U_ij)².
-  auto inner_sigma = u.Map(
-      [](const std::pair<std::uint32_t, std::vector<double>>& record) {
-        double total = 0.0;
-        for (double contribution : record.second) total += contribution;
-        return std::pair<std::uint32_t, double>(record.first, total * total);
-      });
-  return SetScoresFromInnerSigma(inner_sigma);
-}
-
 void SkatPipeline::EnsureUBuilt() {
   if (u_built_) return;
   auto engine_bcast = engine::MakeBroadcast(
@@ -413,84 +409,10 @@ SetScores SkatPipeline::ComputeObserved() {
   return SetScoresFromU(u_observed_);
 }
 
-std::unordered_map<std::uint32_t, std::pair<double, double>>
-SkatPipeline::SkatBurdenFromScores(
-    const Dataset<std::pair<std::uint32_t, double>>& scores) const {
-  // Join the signed per-SNP scores with the unsquared weights, then
-  // accumulate (ω²U², ωU) per set; burden = (Σ ωU)² on the driver.
-  auto joined = engine::Join(weights_, scores, config_.num_reducers);
-  auto map = snp_to_sets_;
-  using PairStat = std::pair<double, double>;  // (Σ ω²U², Σ ωU)
-  auto set_contributions = joined.FlatMap(
-      [map](const std::pair<std::uint32_t, std::pair<double, double>>& record) {
-        const double w = record.second.first;
-        const double u = record.second.second;
-        std::vector<std::pair<std::uint32_t, PairStat>> out;
-        auto it = map->find(record.first);
-        if (it != map->end()) {
-          out.reserve(it->second.size());
-          for (std::uint32_t set_id : it->second) {
-            out.push_back({set_id, {w * w * u * u, w * u}});
-          }
-        }
-        return out;
-      });
-  auto per_set = engine::ReduceByKey(
-      set_contributions,
-      [](const PairStat& a, const PairStat& b) {
-        return PairStat{a.first + b.first, a.second + b.second};
-      },
-      config_.num_reducers);
-  auto collected = engine::CollectAsMap(per_set, "collect-skat-burden");
-  std::unordered_map<std::uint32_t, std::pair<double, double>> result;
-  for (const auto& [set_id, pair] : collected) {
-    // Second component becomes the burden statistic (square of Σ ωU).
-    result[set_id] = {pair.first, pair.second * pair.second};
-  }
-  for (const stats::SnpSet& set : sets_) {
-    result.try_emplace(set.id, std::pair<double, double>{0.0, 0.0});
-  }
-  return result;
-}
-
-std::unordered_map<std::uint32_t, std::pair<double, double>>
-SkatPipeline::ComputeObservedSkatBurden() {
-  engine::TraceSpan span(engine::Tracer::Global(), "algo",
-                         "observed skat+burden");
-  EnsureUBuilt();
-  auto scores = u_observed_.Map(
-      [](const std::pair<std::uint32_t, std::vector<double>>& record) {
-        double total = 0.0;
-        for (double contribution : record.second) total += contribution;
-        return std::pair<std::uint32_t, double>(record.first, total);
-      });
-  return SkatBurdenFromScores(scores);
-}
-
-std::unordered_map<std::uint32_t, std::pair<double, double>>
-SkatPipeline::ComputeMonteCarloSkatBurdenReplicate(
-    const std::vector<double>& multipliers) {
-  SS_CHECK(u_built_);
-  SS_CHECK(multipliers.size() == n());
-  engine::TraceSpan span(engine::Tracer::Global(), "algo",
-                         "monte-carlo skat+burden replicate");
-  auto z = engine::MakeBroadcast(*ctx_, multipliers);
-  auto scores = u_observed_.Map(
-      [z](const std::pair<std::uint32_t, std::vector<double>>& record) {
-        double total = 0.0;
-        const std::vector<double>& multiplier = *z;
-        for (std::size_t i = 0; i < record.second.size(); ++i) {
-          total += multiplier[i] * record.second[i];
-        }
-        return std::pair<std::uint32_t, double>(record.first, total);
-      });
-  return SkatBurdenFromScores(scores);
-}
-
 std::unordered_map<std::uint32_t, std::vector<double>>
 SkatPipeline::ComputeMonteCarloScoreBlock(const std::vector<double>& zblock,
                                           std::size_t count) {
-  SS_CHECK(u_built_);  // ComputeObserved must run first (Algorithm 3 step 1)
+  SS_CHECK(u_built_);  // an observed pass must run first (Algorithm 3 step 1)
   SS_CHECK(zblock.size() == count * n());
   engine::TraceSpan span(engine::Tracer::Global(), "algo",
                          "monte-carlo score block",
@@ -511,17 +433,6 @@ SkatPipeline::ComputeMonteCarloScoreBlock(const std::vector<double>& zblock,
         return out;
       });
   return engine::CollectAsMap(scored, "collect-score-block");
-}
-
-std::unordered_map<std::uint32_t, double> SkatPipeline::CollectObservedScores() {
-  EnsureUBuilt();
-  auto scores = u_observed_.Map(
-      [](const std::pair<std::uint32_t, std::vector<double>>& record) {
-        double total = 0.0;
-        for (double contribution : record.second) total += contribution;
-        return std::pair<std::uint32_t, double>(record.first, total);
-      });
-  return engine::CollectAsMap(scores, "collect-observed-scores");
 }
 
 const std::unordered_map<std::uint32_t, double>& SkatPipeline::DriverWeights() {
@@ -571,26 +482,6 @@ SkatPipeline::CollectSetGramMatrices() {
     grams.emplace(set.id, std::move(gram));
   }
   return grams;
-}
-
-SetScores SkatPipeline::ComputeMonteCarloReplicate(
-    const std::vector<double>& multipliers) {
-  SS_CHECK(u_built_);  // ComputeObserved must run first (Algorithm 3 step 1)
-  SS_CHECK(multipliers.size() == n());
-  engine::TraceSpan span(engine::Tracer::Global(), "algo",
-                         "monte-carlo replicate");
-  auto z = engine::MakeBroadcast(*ctx_, multipliers);
-  // Algorithm 3's modification of step 8: Ũ_j = Σ_i Z_i U_ij, squared.
-  auto inner_sigma = u_observed_.Map(
-      [z](const std::pair<std::uint32_t, std::vector<double>>& record) {
-        double total = 0.0;
-        const std::vector<double>& multiplier = *z;
-        for (std::size_t i = 0; i < record.second.size(); ++i) {
-          total += multiplier[i] * record.second[i];
-        }
-        return std::pair<std::uint32_t, double>(record.first, total * total);
-      });
-  return SetScoresFromInnerSigma(inner_sigma);
 }
 
 SetScores SkatPipeline::ComputePermutationReplicate(

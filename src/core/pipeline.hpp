@@ -14,8 +14,13 @@
 //   11-12. per-set aggregation: S_k = Σ_{j∈I_k} score_j, returned as the
 //       HashMap (SNP-set -> S_k).
 //
-// The U RDD is exposed so Algorithm 3 can cache and reuse it; Algorithm 2
-// instead re-executes steps 6-12 per replicate with a permuted phenotype.
+// Steps 8-12 run on the engine (join + ReduceByKey) only for Algorithm 2:
+// ComputeObserved and ComputePermutationReplicate, which re-executes steps
+// 6-12 per replicate with a permuted phenotype. Algorithm 3 instead caches
+// the U RDD and scores it with Monte Carlo multipliers Z in blocks
+// (ComputeMonteCarloScoreBlock); its observed statistic is the case Z = 1,
+// so Monte Carlo, hybrid and SKAT-O fold observed and replicate scores
+// through one canonical driver-side fold (core/resampling_methods.hpp).
 #pragma once
 
 #include <cstdint>
@@ -128,39 +133,25 @@ class SkatPipeline {
                stats::Phenotype phenotype, std::vector<double> weights,
                std::vector<stats::SnpSet> sets);
 
-  /// Steps 6-12 with the observed phenotype: S_k⁰ per set. The first call
-  /// materializes (and, if configured, caches) the U RDD.
+  /// Steps 6-12 with the observed phenotype through the engine's
+  /// join/ReduceByKey fold: S_k⁰ per set, as Algorithm 2 computes it (the
+  /// permutation driver's observed pass). Materializes the U RDD.
   SetScores ComputeObserved();
-
-  /// Steps 8-12 reusing the (cached) observed U RDD with Monte Carlo
-  /// multipliers z (Algorithm 3's modified step 8): S̃_k per set.
-  SetScores ComputeMonteCarloReplicate(const std::vector<double>& multipliers);
-
-  /// Per-set (SKAT, burden) statistic pair, for the SKAT-O combination:
-  /// SKAT = Σ ω²U², burden = (Σ ωU)². Observed phenotype; materializes
-  /// the U RDD like ComputeObserved.
-  std::unordered_map<std::uint32_t, std::pair<double, double>>
-  ComputeObservedSkatBurden();
-
-  /// The same pair under Monte Carlo multipliers (cached U reuse).
-  std::unordered_map<std::uint32_t, std::pair<double, double>>
-  ComputeMonteCarloSkatBurdenReplicate(const std::vector<double>& multipliers);
 
   /// Algorithm 3's modified step 8 for a whole batch: per SNP, the signed
   /// replicate scores Ũ_jb = Σ_i Z_ib U_ij for all `count` replicates of a
   /// patient-major Z block (stats::MonteCarloZBlock layout), computed in
   /// ONE engine pass over the cached U partitions with the blocked
-  /// stats::BatchedReplicateScores kernel. The per-set folds (steps 9-12)
-  /// happen driver-side in the resampling driver, in the serial oracle's
-  /// canonical accumulation order — see core/resampling_methods.hpp.
+  /// stats::BatchedReplicateScores kernel. This is the only path for
+  /// Algorithm 3 statistics: the observed pass is the block with one
+  /// column of n ones (Z = 1, so Ũ_j = Σ_i U_ij exactly). The per-set
+  /// folds (steps 9-12) happen driver-side in the resampling driver, in
+  /// the serial oracle's canonical accumulation order — see
+  /// core/resampling_methods.hpp. Requires the U RDD (EnsureUBuilt or any
+  /// observed pass first).
   std::unordered_map<std::uint32_t, std::vector<double>>
   ComputeMonteCarloScoreBlock(const std::vector<double>& zblock,
                               std::size_t count);
-
-  /// Observed per-SNP marginal scores U_j = Σ_i U_ij collected to the
-  /// driver (one double per filtered SNP), for the batched drivers'
-  /// canonical observed fold. Materializes the U RDD like ComputeObserved.
-  std::unordered_map<std::uint32_t, double> CollectObservedScores();
 
   /// Driver-resident unsquared weights ω_j, collected once and memoized.
   const std::unordered_map<std::uint32_t, double>& DriverWeights();
@@ -185,6 +176,11 @@ class SkatPipeline {
   /// Number of patients.
   std::size_t n() const { return phenotype_.n(); }
 
+  /// Defines the observed-phenotype U RDD (steps 6-7), checkpointing and
+  /// caching it as configured (Algorithm 3 steps 1-2). Idempotent; every
+  /// observed pass calls it first.
+  void EnsureUBuilt();
+
   /// Drops the cached U RDD (between bench configurations).
   void UnpersistContributions();
 
@@ -197,24 +193,11 @@ class SkatPipeline {
   engine::Dataset<std::pair<std::uint32_t, std::vector<double>>> BuildU(
       const engine::Broadcast<stats::ScoreEngine>& engine) const;
 
-  /// Steps 8-12 from a U dataset: aggregate to per-set scores.
+  /// Steps 8-12 from a U dataset through the engine: aggregate to
+  /// per-set scores.
   SetScores SetScoresFromU(
       const engine::Dataset<std::pair<std::uint32_t, std::vector<double>>>& u)
       const;
-
-  /// Steps 9-12 from per-SNP squared marginal scores.
-  SetScores SetScoresFromInnerSigma(
-      const engine::Dataset<std::pair<std::uint32_t, double>>& inner_sigma)
-      const;
-
-  /// Per-set (Σ ω²U², Σ ωU) accumulation from per-SNP signed scores; the
-  /// SKAT-O building block (burden = square of the second component).
-  std::unordered_map<std::uint32_t, std::pair<double, double>>
-  SkatBurdenFromScores(
-      const engine::Dataset<std::pair<std::uint32_t, double>>& scores) const;
-
-  /// Materializes the U RDD if needed (shared by all observed paths).
-  void EnsureUBuilt();
 
   engine::EngineContext* ctx_ = nullptr;
   PipelineConfig config_;
@@ -225,7 +208,7 @@ class SkatPipeline {
   /// `pack_genotypes` is set); all U builds decode from this instead.
   engine::Dataset<stats::PackedSnpRecord> fgm_packed_;
   engine::Dataset<std::pair<std::uint32_t, double>> weights_sq_;  ///< Step 2.
-  engine::Dataset<std::pair<std::uint32_t, double>> weights_;  ///< Unsquared ω (SKAT-O path).
+  engine::Dataset<std::pair<std::uint32_t, double>> weights_;  ///< Unsquared ω.
   stats::Phenotype phenotype_;
   std::vector<stats::SnpSet> sets_;
 

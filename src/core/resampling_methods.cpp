@@ -17,22 +17,6 @@
 namespace ss::core {
 namespace {
 
-/// counter_k update shared by both algorithms: compare a replicate's
-/// scores against the observed ones.
-void CountExceedances(const SetScores& observed, const SetScores& replicate,
-                      std::unordered_map<std::uint32_t, std::uint64_t>* exceed) {
-  for (const auto& [set_id, observed_score] : observed) {
-    auto it = replicate.find(set_id);
-    const double replicate_score = it == replicate.end() ? 0.0 : it->second;
-    if (replicate_score >= observed_score) ++(*exceed)[set_id];
-  }
-}
-
-void InitCounters(const SetScores& observed,
-                  std::unordered_map<std::uint32_t, std::uint64_t>* exceed) {
-  for (const auto& [set_id, score] : observed) (*exceed)[set_id] = 0;
-}
-
 std::uint64_t EffectiveBatchSize(const SkatPipeline& pipeline,
                                  const ResamplingRequest& request) {
   const std::uint64_t batch = request.batch_size != 0
@@ -145,42 +129,20 @@ void RunBatches(const char* algorithm, std::uint64_t replicates,
   }
 }
 
-/// Steps 9-12 on the driver: per-set SKAT fold of per-SNP marginal
-/// scores, in exactly stats::SkatStatistic's accumulation order (set
-/// members in declaration order, `w * w * squared` per SNP) — the serial
-/// oracle's order, independent of partitioning, shuffle order, thread
-/// count, and batch size.
-SetScores FoldObservedScores(
-    const std::vector<stats::SnpSet>& sets,
-    const std::unordered_map<std::uint32_t, double>& snp_scores,
-    const std::unordered_map<std::uint32_t, double>& weights) {
-  SetScores out;
-  out.reserve(sets.size());
-  for (const stats::SnpSet& set : sets) {
-    double statistic = 0.0;
-    for (std::uint32_t snp : set.snps) {
-      auto score_it = snp_scores.find(snp);
-      if (score_it == snp_scores.end()) continue;  // SNP filtered out
-      auto weight_it = weights.find(snp);
-      const double w = weight_it == weights.end() ? 1.0 : weight_it->second;
-      const double squared = score_it->second * score_it->second;
-      statistic += w * w * squared;
-    }
-    out[set.id] = statistic;
-  }
-  return out;
-}
-
-/// The batched form of FoldObservedScores: folds all `count` replicates
-/// of a score block in one sweep over the sets. Each replicate's
-/// accumulator follows the same canonical order, so element r is bitwise
-/// equal to folding replicate r alone.
+/// Steps 9-12 on the driver: per-set SKAT fold of all `count` replicates
+/// of a score block in one sweep over the sets, in exactly
+/// stats::SkatStatistic's accumulation order (set members in declaration
+/// order, `w * w * squared` per SNP) — the serial oracle's order,
+/// independent of partitioning, shuffle order, thread count, and batch
+/// size. Each replicate's accumulator follows that order, so element r is
+/// bitwise equal to folding replicate r alone.
 std::vector<SetScores> FoldReplicateScores(
     const std::vector<stats::SnpSet>& sets,
     const std::unordered_map<std::uint32_t, std::vector<double>>& block,
     const std::unordered_map<std::uint32_t, double>& weights,
     std::size_t count) {
   std::vector<SetScores> out(count);
+  for (SetScores& scores : out) scores.reserve(sets.size());
   std::vector<double> acc(count);
   for (const stats::SnpSet& set : sets) {
     std::fill(acc.begin(), acc.end(), 0.0);
@@ -283,8 +245,10 @@ void RecordResultHash(const ResamplingResult& result) {
                                         HashResamplingResult(result));
 }
 
-/// An adaptive run takes the screen/stopper path; anything else keeps the
-/// legacy body bit-for-bit (including its result hash).
+/// An adaptive run screens and may stop early; anything else is the
+/// legacy exhaustive count, which leaves ResamplingResult::inference empty
+/// (so its result hash mixes no adaptive fields) and every pvalue.*
+/// counter untouched.
 bool IsAdaptive(const ResamplingRequest& request) {
   return request.pvalue_method != PValueMethod::kResampling ||
          request.early_stop != 0;
@@ -313,169 +277,164 @@ void AnalyticScreen(SkatPipeline& pipeline, PValueMethod method,
   }
 }
 
-/// One Besag–Clifford stopper per set that will consume replicates:
-/// every set for pure resampling with early stopping, none for the pure
-/// analytic methods, and the screened-in (p < refine_threshold) sets for
-/// hybrid. Marks those sets refined in result->inference.
-std::unordered_map<std::uint32_t, stats::SequentialStopper> MakeStoppers(
-    const ResamplingRequest& request, ResamplingResult* result) {
-  static std::atomic<std::uint64_t>& refined_sets =
-      engine::CounterRegistry::Global().Get("pvalue.refined_sets");
-  std::unordered_map<std::uint32_t, stats::SequentialStopper> stoppers;
-  for (const auto& [set_id, observed] : result->observed) {
-    bool refine = false;
-    switch (request.pvalue_method) {
-      case PValueMethod::kResampling:
-        refine = true;
-        break;
-      case PValueMethod::kAnalytic:
-      case PValueMethod::kSaddlepoint:
-        refine = false;
-        break;
-      case PValueMethod::kHybrid:
-        refine = result->inference.at(set_id).analytic_p <
-                 request.refine_threshold;
-        break;
+/// The exceedance tally every counting method goes through: one
+/// Besag–Clifford stopper per set that consumes replicates. Pure
+/// resampling gives every set a stopper with h = early_stop, and h = 0
+/// never stops, which is exhaustive counting; the pure analytic methods
+/// give none; hybrid gives the screened-in (p < refine_threshold) sets.
+/// Stopping is decided per replicate in the canonical order, so results
+/// are bitwise invariant to batch size, threads and prefetch.
+class ExceedanceTally {
+ public:
+  /// Screens the sets when the p-value method asks for it (for
+  /// permutation the Σ λ χ²₁ tail is the standard asymptotic
+  /// approximation, not exact as under the Monte Carlo null) and creates
+  /// the stoppers. `result->observed` must already hold S_k⁰.
+  ExceedanceTally(SkatPipeline& pipeline, const ResamplingRequest& request,
+                  ResamplingResult* result)
+      : request_(request), result_(result) {
+    static std::atomic<std::uint64_t>& refined_sets =
+        engine::CounterRegistry::Global().Get("pvalue.refined_sets");
+    result->replicates = request.replicates;
+    result->early_stop_h = request.early_stop;
+    if (request.pvalue_method != PValueMethod::kResampling) {
+      AnalyticScreen(pipeline, request.pvalue_method, result);
     }
-    if (!refine) continue;
-    stoppers.emplace(set_id, stats::SequentialStopper(request.early_stop));
-    result->inference[set_id].refined = true;  // creates the entry for
-                                               // kResampling + early stop
+    const bool adaptive = IsAdaptive(request);
+    for (const auto& [set_id, observed] : result->observed) {
+      const bool refine =
+          request.pvalue_method == PValueMethod::kResampling ||
+          (request.pvalue_method == PValueMethod::kHybrid &&
+           result->inference.at(set_id).analytic_p <
+               request.refine_threshold);
+      if (!refine) continue;
+      stoppers_.emplace(set_id, stats::SequentialStopper(request.early_stop));
+      if (adaptive) result->inference[set_id].refined = true;
+    }
+    if (adaptive) {
+      refined_sets.fetch_add(stoppers_.size(), std::memory_order_relaxed);
+    }
   }
-  refined_sets.fetch_add(stoppers.size(), std::memory_order_relaxed);
-  return stoppers;
-}
 
-/// Offers replicate r's scores to every live stopper. Returns true while
-/// at least one set is still consuming replicates.
-bool OfferReplicate(
-    const SetScores& observed, const SetScores& replicate,
-    std::unordered_map<std::uint32_t, stats::SequentialStopper>* stoppers) {
-  bool any_active = false;
-  for (auto& [set_id, stopper] : *stoppers) {
-    auto it = replicate.find(set_id);
-    const double replicate_score = it == replicate.end() ? 0.0 : it->second;
-    stopper.Offer(replicate_score >= observed.at(set_id));
-    if (!stopper.stopped()) any_active = true;
+  /// Whether the driver should schedule any replicates at all.
+  bool consumes_replicates() const {
+    return !stoppers_.empty() && request_.replicates > 0;
   }
-  return any_active;
-}
 
-/// Moves the stopper tallies into the result and accounts the savings.
-/// pvalue.replicates_saved = Σ_sets (B − replicates_used) — a pure
-/// function of the per-set replicate-exact counts, so it is invariant to
-/// batch size / threads / prefetch even though the SCHEDULED replicate
-/// count is batch-granular.
-void FinalizeAdaptive(
-    const ResamplingRequest& request,
-    const std::unordered_map<std::uint32_t, stats::SequentialStopper>&
-        stoppers,
-    ResamplingResult* result) {
-  static std::atomic<std::uint64_t>& early_stops =
-      engine::CounterRegistry::Global().Get("pvalue.early_stops");
-  static std::atomic<std::uint64_t>& replicates_saved =
-      engine::CounterRegistry::Global().Get("pvalue.replicates_saved");
-  for (auto& [set_id, info] : result->inference) {
-    auto it = stoppers.find(set_id);
-    if (it == stoppers.end()) {
-      // Screened out: the analytic tail stands in for all B replicates.
-      replicates_saved.fetch_add(request.replicates,
+  /// Offers replicate b's scores to every live stopper, then reports the
+  /// replicate to the sink. Returns true while at least one set is still
+  /// consuming replicates.
+  bool Offer(std::uint64_t b, const SetScores& replicate) {
+    bool any_active = false;
+    for (auto& [set_id, stopper] : stoppers_) {
+      auto it = replicate.find(set_id);
+      const double replicate_score = it == replicate.end() ? 0.0 : it->second;
+      stopper.Offer(replicate_score >= result_->observed.at(set_id));
+      if (!stopper.stopped()) any_active = true;
+    }
+    if (request_.sink != nullptr) {
+      request_.sink->OnReplicateScores(b, replicate);
+      request_.sink->OnReplicate(b);
+    }
+    return any_active;
+  }
+
+  /// Moves the counts into the result, fills the adaptive per-set
+  /// inference, and records the result hash.
+  /// pvalue.replicates_saved = Σ_sets (B − replicates_used) — a pure
+  /// function of the per-set replicate-exact counts, so it is invariant to
+  /// batch size / threads / prefetch even though the SCHEDULED replicate
+  /// count is batch-granular.
+  void Finish() {
+    static std::atomic<std::uint64_t>& early_stops =
+        engine::CounterRegistry::Global().Get("pvalue.early_stops");
+    static std::atomic<std::uint64_t>& replicates_saved =
+        engine::CounterRegistry::Global().Get("pvalue.replicates_saved");
+    for (const auto& [set_id, observed] : result_->observed) {
+      auto it = stoppers_.find(set_id);
+      result_->exceed[set_id] =
+          it == stoppers_.end() ? 0 : it->second.exceed();
+    }
+    for (auto& [set_id, info] : result_->inference) {
+      auto it = stoppers_.find(set_id);
+      if (it == stoppers_.end()) {
+        // Screened out: the analytic tail stands in for all B replicates.
+        replicates_saved.fetch_add(request_.replicates,
+                                   std::memory_order_relaxed);
+        continue;
+      }
+      const stats::SequentialStopper& stopper = it->second;
+      info.replicates_used = stopper.used();
+      info.early_stopped = stopper.stopped();
+      if (stopper.stopped()) {
+        early_stops.fetch_add(1, std::memory_order_relaxed);
+      }
+      replicates_saved.fetch_add(request_.replicates - stopper.used(),
                                  std::memory_order_relaxed);
-      continue;
     }
-    const stats::SequentialStopper& stopper = it->second;
-    result->exceed[set_id] = stopper.exceed();
-    info.replicates_used = stopper.used();
-    info.early_stopped = stopper.stopped();
-    if (stopper.stopped()) {
-      early_stops.fetch_add(1, std::memory_order_relaxed);
-    }
-    replicates_saved.fetch_add(request.replicates - stopper.used(),
-                               std::memory_order_relaxed);
+    RecordResultHash(*result_);
   }
+
+ private:
+  const ResamplingRequest& request_;
+  ResamplingResult* const result_;
+  std::unordered_map<std::uint32_t, stats::SequentialStopper> stoppers_;
+};
+
+/// Algorithm 3's observed pass: the score block with one column of n ones
+/// (Z = 1), so Ũ_j = Σ_i U_ij exactly (with count = 1 every kernel level
+/// takes the scalar `acc += z·u` tail). Folding it with the replicates'
+/// canonical fold gives the serial oracle's observed statistics.
+std::unordered_map<std::uint32_t, std::vector<double>> ObservedScoreBlock(
+    SkatPipeline& pipeline) {
+  engine::TraceSpan span(engine::Tracer::Global(), "algo", "observed pass");
+  pipeline.EnsureUBuilt();
+  return pipeline.ComputeMonteCarloScoreBlock(
+      std::vector<double>(pipeline.n(), 1.0), 1);
 }
 
-/// Algorithm 3, batched: one engine pass per batch over the cached U RDD,
-/// canonical driver-side folds. The observed statistics are folded in the
-/// same canonical order, so the whole ResamplingResult — not only the
-/// counters — is bitwise equal to baseline::SerialMonteCarlo's analysis
-/// from the same seed, for every batch size and thread count.
+/// Algorithm 3, batched: the observed pass and every batch are score
+/// blocks over the cached U RDD, folded canonically on the driver, so the
+/// whole ResamplingResult is bitwise equal to baseline::SerialMonteCarlo's
+/// analysis from the same seed, for every batch size and thread count.
 ResamplingResult RunBatchedMonteCarlo(SkatPipeline& pipeline,
                                       const ResamplingRequest& request) {
   ResamplingResult result;
-  result.replicates = request.replicates;
-  const std::unordered_map<std::uint32_t, double> observed_scores = [&] {
-    engine::TraceSpan span(engine::Tracer::Global(), "algo", "observed skat");
-    return pipeline.CollectObservedScores();
-  }();
+  const auto observed_block = ObservedScoreBlock(pipeline);
   const std::unordered_map<std::uint32_t, double>& weights =
       pipeline.DriverWeights();
-  result.observed =
-      FoldObservedScores(pipeline.sets(), observed_scores, weights);
-  InitCounters(result.observed, &result.exceed);
+  std::vector<SetScores> observed =
+      FoldReplicateScores(pipeline.sets(), observed_block, weights, 1);
+  result.observed = std::move(observed.front());
 
-  const std::uint64_t seed = request.seed.value_or(pipeline.config().seed);
-  const std::uint64_t batch_size = EffectiveBatchSize(pipeline, request);
-
-  if (IsAdaptive(request)) {
-    result.early_stop_h = request.early_stop;
-    if (request.pvalue_method != PValueMethod::kResampling) {
-      AnalyticScreen(pipeline, request.pvalue_method, &result);
-    }
-    auto stoppers = MakeStoppers(request, &result);
-    if (!stoppers.empty() && request.replicates > 0) {
-      ZBlockPrefetcher zblocks(pipeline.context().io(), seed, pipeline.n(),
-                               request.replicates, batch_size);
-      RunBatches(
-          "monte-carlo", request.replicates, batch_size, request.sink,
-          [&](std::uint64_t begin, std::uint64_t end) {
-            const std::size_t count = end - begin;
-            const std::vector<double> zblock = zblocks.Take(begin, count);
-            const auto block =
-                pipeline.ComputeMonteCarloScoreBlock(zblock, count);
-            const std::vector<SetScores> replicate_scores =
-                FoldReplicateScores(pipeline.sets(), block, weights, count);
-            bool any_active = false;
-            for (std::size_t r = 0; r < count; ++r) {
-              any_active = OfferReplicate(result.observed, replicate_scores[r],
-                                          &stoppers);
-              if (request.sink != nullptr) {
-                request.sink->OnReplicateScores(begin + r, replicate_scores[r]);
-                request.sink->OnReplicate(begin + r);
-              }
-            }
-            return any_active;
-          });
-    }
-    FinalizeAdaptive(request, stoppers, &result);
-    RecordResultHash(result);
-    return result;
-  }
-
-  ZBlockPrefetcher zblocks(pipeline.context().io(), seed, pipeline.n(),
-                           request.replicates, batch_size);
-  RunBatches(
-      "monte-carlo", request.replicates, batch_size,
-      request.sink, [&](std::uint64_t begin, std::uint64_t end) {
-        const std::size_t count = end - begin;
-        // Algorithm 3 step 3, per batch: (end-begin) × n multipliers from
-        // the per-replicate streams (bitwise invariant to batching);
-        // double-buffered on the I/O lane when prefetch is enabled.
-        const std::vector<double> zblock = zblocks.Take(begin, count);
-        const auto block = pipeline.ComputeMonteCarloScoreBlock(zblock, count);
-        const std::vector<SetScores> replicate_scores =
-            FoldReplicateScores(pipeline.sets(), block, weights, count);
-        for (std::size_t r = 0; r < count; ++r) {
-          CountExceedances(result.observed, replicate_scores[r],
-                           &result.exceed);
-          if (request.sink != nullptr) {
-            request.sink->OnReplicateScores(begin + r, replicate_scores[r]);
-            request.sink->OnReplicate(begin + r);
+  ExceedanceTally tally(pipeline, request, &result);
+  if (tally.consumes_replicates()) {
+    const std::uint64_t seed = request.seed.value_or(pipeline.config().seed);
+    const std::uint64_t batch_size = EffectiveBatchSize(pipeline, request);
+    ZBlockPrefetcher zblocks(pipeline.context().io(), seed, pipeline.n(),
+                             request.replicates, batch_size);
+    RunBatches(
+        "monte-carlo", request.replicates, batch_size, request.sink,
+        [&](std::uint64_t begin, std::uint64_t end) {
+          const std::size_t count = end - begin;
+          // Algorithm 3 step 3, per batch: (end-begin) × n multipliers from
+          // the per-replicate streams (bitwise invariant to batching);
+          // double-buffered on the I/O lane when prefetch is enabled.
+          const std::vector<double> zblock = zblocks.Take(begin, count);
+          const auto block =
+              pipeline.ComputeMonteCarloScoreBlock(zblock, count);
+          const std::vector<SetScores> replicate_scores =
+              FoldReplicateScores(pipeline.sets(), block, weights, count);
+          // The block is already computed, so a set that stops mid-batch
+          // just ignores its remaining offers.
+          bool any_active = false;
+          for (std::size_t r = 0; r < count; ++r) {
+            any_active = tally.Offer(begin + r, replicate_scores[r]);
           }
-        }
-        return true;
-      });
-  RecordResultHash(result);
+          return any_active;
+        });
+  }
+  tally.Finish();
   return result;
 }
 
@@ -487,84 +446,51 @@ ResamplingResult RunBatchedPermutation(SkatPipeline& pipeline,
                                        const ResamplingRequest& request) {
   ResamplingResult result;
   result.observed = pipeline.ComputeObserved();
-  result.replicates = request.replicates;
-  InitCounters(result.observed, &result.exceed);
 
   const std::uint64_t seed = request.seed.value_or(pipeline.config().seed);
   // Algorithm 2 step 2: all B shufflings are derived from the seed up
   // front, so replicate b is reproducible in isolation.
   const stats::PermutationPlan plan(seed, pipeline.n(), request.replicates);
 
-  if (IsAdaptive(request)) {
-    result.early_stop_h = request.early_stop;
-    if (request.pvalue_method != PValueMethod::kResampling) {
-      // For permutation the Σ λ χ²₁ tail is the standard asymptotic
-      // approximation, not exact as under the Monte Carlo null.
-      AnalyticScreen(pipeline, request.pvalue_method, &result);
-    }
-    auto stoppers = MakeStoppers(request, &result);
-    if (!stoppers.empty() && request.replicates > 0) {
-      RunBatches(
-          "permutation", request.replicates,
-          EffectiveBatchSize(pipeline, request), request.sink,
-          [&](std::uint64_t begin, std::uint64_t end) {
-            bool any_active = false;
-            for (std::uint64_t b = begin; b < end; ++b) {
-              engine::TraceSpan span(engine::Tracer::Global(), "replicate",
-                                     "permutation b=" + std::to_string(b),
-                                     {engine::Arg("algorithm", "permutation"),
-                                      engine::Arg("b", b)});
-              const SetScores replicate =
-                  pipeline.ComputePermutationReplicate(plan.Get(b));
-              any_active =
-                  OfferReplicate(result.observed, replicate, &stoppers);
-              if (request.sink != nullptr) {
-                request.sink->OnReplicateScores(b, replicate);
-                request.sink->OnReplicate(b);
-              }
-              // Full-pipeline replicates are expensive; unlike the batched
-              // Monte Carlo block (already computed), stop mid-batch.
-              if (!any_active) break;
-            }
-            return any_active;
-          });
-    }
-    FinalizeAdaptive(request, stoppers, &result);
-    RecordResultHash(result);
-    return result;
-  }
-
-  RunBatches(
-      "permutation", request.replicates, EffectiveBatchSize(pipeline, request),
-      request.sink, [&](std::uint64_t begin, std::uint64_t end) {
-        for (std::uint64_t b = begin; b < end; ++b) {
-          engine::TraceSpan span(engine::Tracer::Global(), "replicate",
-                                 "permutation b=" + std::to_string(b),
-                                 {engine::Arg("algorithm", "permutation"),
-                                  engine::Arg("b", b)});
-          const SetScores replicate =
-              pipeline.ComputePermutationReplicate(plan.Get(b));
-          CountExceedances(result.observed, replicate, &result.exceed);
-          if (request.sink != nullptr) {
-            request.sink->OnReplicateScores(b, replicate);
-            request.sink->OnReplicate(b);
+  ExceedanceTally tally(pipeline, request, &result);
+  if (tally.consumes_replicates()) {
+    RunBatches(
+        "permutation", request.replicates,
+        EffectiveBatchSize(pipeline, request), request.sink,
+        [&](std::uint64_t begin, std::uint64_t end) {
+          // Full-pipeline replicates are expensive; unlike the batched
+          // Monte Carlo block (already computed), stop mid-batch.
+          bool any_active = true;
+          for (std::uint64_t b = begin; b < end && any_active; ++b) {
+            engine::TraceSpan span(engine::Tracer::Global(), "replicate",
+                                   "permutation b=" + std::to_string(b),
+                                   {engine::Arg("algorithm", "permutation"),
+                                    engine::Arg("b", b)});
+            any_active = tally.Offer(
+                b, pipeline.ComputePermutationReplicate(plan.Get(b)));
           }
-        }
-        return true;
-      });
-  RecordResultHash(result);
+          return any_active;
+        });
+  }
+  tally.Finish();
   return result;
 }
 
-/// SKAT-O over the batched Monte Carlo replicate pool: each batch reuses
-/// the same score block as the plain Monte Carlo method and folds per-set
-/// (SKAT, burden) pairs canonically on the driver.
+/// SKAT-O over the batched Monte Carlo replicate pool: the observed pass
+/// and each batch are the same score blocks as the plain Monte Carlo
+/// method, folded into per-set (SKAT, burden) pairs canonically on the
+/// driver.
 SkatOResult RunBatchedSkatO(SkatPipeline& pipeline,
                             const ResamplingRequest& request) {
   const std::vector<double> rho_grid = stats::SkatORhoGrid();
 
   // Observed (SKAT, burden) pair and grid per set.
-  const auto observed = pipeline.ComputeObservedSkatBurden();
+  const auto observed_block = ObservedScoreBlock(pipeline);
+  const std::unordered_map<std::uint32_t, double>& weights =
+      pipeline.DriverWeights();
+  const auto observed =
+      FoldSkatBurdenScores(pipeline.sets(), observed_block, weights, 1)
+          .front();
   std::unordered_map<std::uint32_t, std::vector<double>> observed_grids;
   SkatOResult result;
   result.replicates = request.replicates;
@@ -577,8 +503,6 @@ SkatOResult RunBatchedSkatO(SkatPipeline& pipeline,
         stats::SkatOGridStatistics(pair.second, pair.first, rho_grid);
   }
 
-  const std::unordered_map<std::uint32_t, double>& weights =
-      pipeline.DriverWeights();
   const std::uint64_t seed = request.seed.value_or(pipeline.config().seed);
   std::unordered_map<std::uint32_t, std::vector<std::vector<double>>>
       replicate_grids;

@@ -5,11 +5,18 @@
 // S_k⁰ (the paper's counter_k). The empirical p-value follows directly.
 //
 //   * kPermutation — Algorithm 2: each replicate shuffles the phenotype
-//     pairs and re-executes the full pipeline (steps 6-12).
+//     pairs and re-executes the full pipeline (steps 6-12). Its observed
+//     pass is SkatPipeline::ComputeObserved, the same engine
+//     join/ReduceByKey fold its replicates use.
 //   * kMonteCarlo — Algorithm 3: replicates reuse the cached observed
 //     U RDD with fresh N(0,1) multipliers; only steps 8-12 re-execute.
 //   * kSkatO — the SKAT-O combination assessed over the same Monte Carlo
 //     replicate pool.
+//
+// Monte Carlo (hybrid included) and SKAT-O compute the observed
+// statistics as the Z = 1 case of the replicates: one score block with a
+// unit column of n ones (SkatPipeline::ComputeMonteCarloScoreBlock),
+// folded by the same canonical driver-side fold as every replicate.
 //
 // All methods share one batched driver loop: replicates are scheduled in
 // batches of `ResamplingRequest::batch_size`. For the Monte Carlo methods
@@ -22,7 +29,10 @@
 // ResamplingResult is bitwise equal to baseline::SerialMonteCarlo from
 // the same seed. Permutation re-executes the full pipeline per replicate
 // (its cost model is the point of Experiment A), so for it a batch is a
-// scheduling/telemetry unit only.
+// scheduling/telemetry unit only. Permutation and Monte Carlo count
+// exceedances through one tally of per-set sequential stoppers; without
+// early stopping (h = 0) a stopper never fires, which is exhaustive
+// counting.
 #pragma once
 
 #include <cstdint>

@@ -66,16 +66,18 @@ TEST(PipelineCheckpointTest, CheckpointSurvivesCacheAndNodeLoss) {
   engine::EngineContext ctx(LocalOptions(), &env.dfs, &faults);
   auto pipeline = SkatPipeline::Open(ctx, env.paths, config);
   ASSERT_TRUE(pipeline.ok());
-  const SetScores observed = pipeline.value().ComputeObserved();
+  pipeline.value().ComputeObserved();
+  const std::vector<double> zblock =
+      stats::MonteCarloZBlock(config.seed, pipeline.value().n(), 0, 1);
+  const auto before = pipeline.value().ComputeMonteCarloScoreBlock(zblock, 1);
 
   // Lose a node: cached U partitions on it are dropped AND its DFS role
   // dies; the checkpoint's surviving replicas carry recovery.
   ctx.FailNode(1);
   env.dfs.KillNode(1);
-  const stats::MonteCarloWeights weights(config.seed, pipeline.value().n(), 1);
-  const SetScores replicate =
-      pipeline.value().ComputeMonteCarloReplicate(weights.Get(0));
-  EXPECT_EQ(replicate.size(), observed.size());
+  const auto after = pipeline.value().ComputeMonteCarloScoreBlock(zblock, 1);
+  EXPECT_EQ(after.size(), 40u);  // every SNP scored
+  EXPECT_EQ(after, before);
 
   // Second context over the same DFS can reopen the checkpoint directly.
   engine::EngineContext ctx2(LocalOptions(), &env.dfs);

@@ -34,6 +34,28 @@ baseline::SkatAnalysis SerialReference(const simdata::SyntheticDataset& dataset)
   return baseline::SerialObserved(inputs);
 }
 
+/// Replicate b's score block: the one-column Z block for b is exactly
+/// stats::MonteCarloWeights::Get(b).
+std::unordered_map<std::uint32_t, std::vector<double>> ReplicateBlock(
+    SkatPipeline& pipeline, std::uint64_t seed, std::uint64_t b) {
+  return pipeline.ComputeMonteCarloScoreBlock(
+      stats::MonteCarloZBlock(seed, pipeline.n(), b, 1), 1);
+}
+
+/// Per-set SKAT statistics (sets order) of a one-replicate score block, in
+/// the serial oracle's fold (stats::SkatStatistics).
+std::vector<double> FoldBlock(
+    const simdata::SyntheticDataset& dataset,
+    const std::unordered_map<std::uint32_t, std::vector<double>>& block) {
+  std::unordered_map<std::uint32_t, double> squared;
+  for (const auto& [snp, scores] : block) squared[snp] = scores[0] * scores[0];
+  std::unordered_map<std::uint32_t, double> weights;
+  for (std::uint32_t j = 0; j < dataset.weights.size(); ++j) {
+    weights[j] = dataset.weights[j];
+  }
+  return stats::SkatStatistics(dataset.sets, squared, weights);
+}
+
 TEST(SkatPipelineTest, ObservedMatchesSerialBaseline) {
   const simdata::SyntheticDataset dataset = SmallDataset();
   engine::EngineContext ctx(LocalOptions());
@@ -121,17 +143,18 @@ TEST(SkatPipelineTest, MonteCarloReplicateMatchesSerial) {
   PipelineConfig config;
   config.seed = seed;
   SkatPipeline pipeline = SkatPipeline::FromMemory(ctx, dataset, config);
-  const SetScores observed = pipeline.ComputeObserved();
-  const stats::MonteCarloWeights weights(seed, dataset.survival.n(), 7);
+  pipeline.EnsureUBuilt();
+  // The observed statistic is the Z = 1 block.
+  const std::vector<double> observed = FoldBlock(
+      dataset, pipeline.ComputeMonteCarloScoreBlock(
+                   std::vector<double>(pipeline.n(), 1.0), 1));
+  EXPECT_EQ(observed, serial.observed);
   std::vector<std::uint64_t> exceed(dataset.sets.size(), 0);
   for (std::size_t b = 0; b < 7; ++b) {
-    const SetScores replicate =
-        pipeline.ComputeMonteCarloReplicate(weights.Get(b));
+    const std::vector<double> replicate =
+        FoldBlock(dataset, ReplicateBlock(pipeline, seed, b));
     for (std::size_t k = 0; k < dataset.sets.size(); ++k) {
-      if (replicate.at(dataset.sets[k].id) >=
-          observed.at(dataset.sets[k].id)) {
-        ++exceed[k];
-      }
+      if (replicate[k] >= observed[k]) ++exceed[k];
     }
   }
   EXPECT_EQ(exceed, serial.exceed_count);
@@ -175,8 +198,7 @@ TEST(SkatPipelineTest, CachingConfigControlsCacheUse) {
     pipeline.ComputeObserved();
     EXPECT_GT(ctx.cache().stats().insertions, 0u);
     const auto before = ctx.cache().stats().hits;
-    pipeline.ComputeMonteCarloReplicate(
-        std::vector<double>(dataset.survival.n(), 1.0));
+    ReplicateBlock(pipeline, config.seed, 0);
     EXPECT_GT(ctx.cache().stats().hits, before);  // replicate reused U
   }
   {
@@ -193,9 +215,7 @@ TEST(SkatPipelineTest, MonteCarloRequiresObservedFirst) {
   const simdata::SyntheticDataset dataset = SmallDataset();
   engine::EngineContext ctx(LocalOptions());
   SkatPipeline pipeline = SkatPipeline::FromMemory(ctx, dataset, {});
-  EXPECT_DEATH(pipeline.ComputeMonteCarloReplicate(
-                   std::vector<double>(dataset.survival.n(), 1.0)),
-               "u_built_");
+  EXPECT_DEATH(ReplicateBlock(pipeline, 0, 0), "u_built_");
 }
 
 TEST(SkatPipelineTest, GaussianStudyThroughDfs) {

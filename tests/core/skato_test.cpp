@@ -46,16 +46,23 @@ std::pair<double, double> DirectPair(const simdata::SyntheticDataset& dataset,
   return {skat, weighted_sum * weighted_sum};
 }
 
+/// The observed statistics only: SKAT-O with B = 0.
+SkatOResult ObservedSkatO(SkatPipeline& pipeline) {
+  return RunResampling(pipeline, {ResamplingMethod::kSkatO, 0}).skato;
+}
+
 TEST(SkatOPipelineTest, ObservedPairMatchesDirect) {
   const simdata::SyntheticDataset dataset = SmallDataset();
   engine::EngineContext ctx(LocalOptions());
   SkatPipeline pipeline = SkatPipeline::FromMemory(ctx, dataset, {});
-  const auto pairs = pipeline.ComputeObservedSkatBurden();
-  ASSERT_EQ(pairs.size(), dataset.sets.size());
+  const SkatOResult observed = ObservedSkatO(pipeline);
+  ASSERT_EQ(observed.by_set.size(), dataset.sets.size());
   for (const stats::SnpSet& set : dataset.sets) {
     const auto [skat, burden] = DirectPair(dataset, set);
-    EXPECT_NEAR(pairs.at(set.id).first, skat, 1e-9) << "set " << set.id;
-    EXPECT_NEAR(pairs.at(set.id).second, burden, 1e-9) << "set " << set.id;
+    EXPECT_NEAR(observed.by_set.at(set.id).skat, skat, 1e-9)
+        << "set " << set.id;
+    EXPECT_NEAR(observed.by_set.at(set.id).burden, burden, 1e-9)
+        << "set " << set.id;
   }
 }
 
@@ -64,9 +71,24 @@ TEST(SkatOPipelineTest, SkatComponentMatchesComputeObserved) {
   engine::EngineContext ctx(LocalOptions());
   SkatPipeline pipeline = SkatPipeline::FromMemory(ctx, dataset, {});
   const SetScores skat_only = pipeline.ComputeObserved();
-  const auto pairs = pipeline.ComputeObservedSkatBurden();
+  const SkatOResult observed = ObservedSkatO(pipeline);
   for (const auto& [set_id, score] : skat_only) {
-    EXPECT_NEAR(pairs.at(set_id).first, score, 1e-9);
+    EXPECT_NEAR(observed.by_set.at(set_id).skat, score, 1e-9);
+  }
+}
+
+TEST(SkatOPipelineTest, SkatComponentBitwiseEqualsMonteCarloObserved) {
+  // Both observed passes are the Z = 1 score block through the canonical
+  // fold, so SKAT-O's SKAT component is the Monte Carlo statistic exactly.
+  const simdata::SyntheticDataset dataset = SmallDataset();
+  engine::EngineContext ctx(LocalOptions());
+  SkatPipeline pipeline = SkatPipeline::FromMemory(ctx, dataset, {});
+  const SkatOResult skato = ObservedSkatO(pipeline);
+  const ResamplingResult monte_carlo =
+      RunResampling(pipeline, {ResamplingMethod::kMonteCarlo, 0}).scores;
+  ASSERT_EQ(skato.by_set.size(), monte_carlo.observed.size());
+  for (const auto& [set_id, score] : monte_carlo.observed) {
+    EXPECT_EQ(skato.by_set.at(set_id).skat, score) << "set " << set_id;
   }
 }
 
@@ -76,26 +98,31 @@ TEST(SkatOPipelineTest, ReplicatePairMatchesDirect) {
   PipelineConfig config;
   config.seed = 91;
   SkatPipeline pipeline = SkatPipeline::FromMemory(ctx, dataset, config);
-  pipeline.ComputeObservedSkatBurden();
+  pipeline.EnsureUBuilt();
 
+  // Replicate 0's one-column Z block is MonteCarloWeights::Get(0).
   const stats::MonteCarloWeights weights(config.seed, dataset.survival.n(), 1);
-  const auto replicate =
-      pipeline.ComputeMonteCarloSkatBurdenReplicate(weights.Get(0));
+  const auto block = pipeline.ComputeMonteCarloScoreBlock(
+      stats::MonteCarloZBlock(config.seed, dataset.survival.n(), 0, 1), 1);
 
   stats::ScoreEngine engine(stats::Phenotype::Cox(dataset.survival));
   for (const stats::SnpSet& set : dataset.sets) {
     double skat = 0.0;
     double weighted_sum = 0.0;
+    double block_skat = 0.0;
+    double block_sum = 0.0;
     for (std::uint32_t snp : set.snps) {
       const auto u = engine.Contributions(dataset.genotypes.by_snp[snp]);
       const double score = stats::MonteCarloReplicateScore(u, weights.Get(0));
+      const double block_score = block.at(snp)[0];
       const double w = dataset.weights[snp];
       skat += w * w * score * score;
       weighted_sum += w * score;
+      block_skat += w * w * block_score * block_score;
+      block_sum += w * block_score;
     }
-    EXPECT_NEAR(replicate.at(set.id).first, skat, 1e-9);
-    EXPECT_NEAR(replicate.at(set.id).second, weighted_sum * weighted_sum,
-                1e-9);
+    EXPECT_NEAR(block_skat, skat, 1e-9);
+    EXPECT_NEAR(block_sum * block_sum, weighted_sum * weighted_sum, 1e-9);
   }
 }
 

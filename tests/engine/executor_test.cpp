@@ -155,10 +155,11 @@ TEST(ExecutorDeterminismTest, ZBlockDoubleBufferRunsOnTheLane) {
 }
 
 TEST(ExecutorFaultTest, AsyncSpillWriteFailureDegradesToRecompute) {
-  // A spill directory that cannot be created makes every background
-  // frame write fail. The failure must be counted, the entry dropped,
-  // and the run must still produce the reference results (the next
-  // access recomputes from lineage instead of reloading).
+  // A spill directory that cannot be created makes every frame write
+  // fail, on the I/O lane (spill_async) and inline on the evicting task
+  // alike. The entry must be dropped and the run must still produce the
+  // reference results (the next access recomputes from lineage instead of
+  // reloading).
   const simdata::SyntheticDataset dataset = FixedDataset();
   RunConfig clean;
   clean.exec.prefetch_depth = 1;
@@ -168,15 +169,24 @@ TEST(ExecutorFaultTest, AsyncSpillWriteFailureDegradesToRecompute) {
   // create_directories (even for root) and every frame write below it.
   const std::string blocker = ::testing::TempDir() + "ss_executor_notadir";
   { std::ofstream out(blocker); out << "x"; }
-  RunConfig failing;
-  failing.exec.prefetch_depth = 1;
-  failing.exec.spill_async = true;
-  failing.cache_budget = 1024;  // force evictions -> spill attempts
-  failing.spill_dir = blocker + "/frames";
-  EXPECT_EQ(RunAndHash(failing, dataset), expected);
-  EXPECT_GE(Counter("exec.spill_async_failures"), 1u);
-  EXPECT_EQ(Counter("cache.spills"), 0u)
-      << "failed async writes must not be double-counted as spills";
+  for (bool spill_async : {false, true}) {
+    SCOPED_TRACE(spill_async ? "spill_async=1" : "spill_async=0");
+    RunConfig failing;
+    failing.exec.prefetch_depth = 1;
+    failing.exec.spill_async = spill_async;
+    failing.cache_budget = 1024;  // force evictions -> spill attempts
+    failing.spill_dir = blocker + "/frames";
+    EXPECT_EQ(RunAndHash(failing, dataset), expected);
+    EXPECT_GE(Counter("cache.evictions"), 1u);
+    EXPECT_EQ(Counter("cache.spills"), 0u)
+        << "failed writes must not be counted as spills";
+    if (spill_async) {
+      EXPECT_GE(Counter("exec.spill_async_failures"), 1u);
+    } else {
+      EXPECT_EQ(Counter("cache.spill_corrupt"), 0u)
+          << "a discarded frame is never read back";
+    }
+  }
 }
 
 TEST(ExecutorShutdownTest, DestructorRunsEveryAcceptedJob) {

@@ -140,7 +140,10 @@ TEST(EndToEndTest, SkatOAndVariantScanSurviveNodeFailure) {
   }
   cluster::FaultInjector faults;
   engine::EngineContext ctx(LocalOptions(), &dfs, &faults);
-  faults.FailNodeAfterTasks(2, 30);
+  // The run has 15 tasks (5 genotype blocks for the observed pass, 5
+  // weight blocks, one 5-task replicate batch): fail mid-batch, after U
+  // was cached.
+  faults.FailNodeAfterTasks(2, 12);
   auto pipeline = core::SkatPipeline::Open(ctx, paths.value(), config);
   ASSERT_TRUE(pipeline.ok());
   const core::SkatOResult chaotic = core::RunResampling(pipeline.value(), {core::ResamplingMethod::kSkatO, 15}).skato;
