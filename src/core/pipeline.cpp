@@ -60,7 +60,8 @@ std::unordered_map<std::uint32_t, std::vector<std::uint32_t>> BuildSnpToSets(
   return map;
 }
 
-/// Membership bitmap over 0..max_snp for the step-4 filter.
+/// Membership bitmap over 0..max_snp: step 4's filter over all sets, a
+/// score-block mask over the live ones.
 std::vector<std::uint8_t> BuildMembership(
     const std::vector<stats::SnpSet>& sets) {
   std::uint32_t max_snp = 0;
@@ -410,29 +411,41 @@ SetScores SkatPipeline::ComputeObserved() {
 }
 
 std::unordered_map<std::uint32_t, std::vector<double>>
-SkatPipeline::ComputeMonteCarloScoreBlock(const std::vector<double>& zblock,
-                                          std::size_t count) {
+SkatPipeline::ComputeMonteCarloScoreBlock(
+    const std::vector<double>& zblock, std::size_t count,
+    const std::vector<stats::SnpSet>* live) {
+  static std::atomic<std::uint64_t>& snp_replicates =
+      engine::CounterRegistry::Global().Get("resampling.snp_replicates");
   SS_CHECK(u_built_);  // an observed pass must run first (Algorithm 3 step 1)
   SS_CHECK(zblock.size() == count * n());
   engine::TraceSpan span(engine::Tracer::Global(), "algo",
                          "monte-carlo score block",
                          {engine::Arg("replicates", count)});
   auto z = engine::MakeBroadcast(*ctx_, zblock);
+  auto snp_mask = engine::MakeBroadcast(
+      *ctx_, BuildMembership(live == nullptr ? sets_ : *live));
   auto scored = u_observed_.MapPartitions(
-      [z, count](std::uint32_t,
-                 const std::vector<std::pair<std::uint32_t,
-                                             std::vector<double>>>& records) {
+      [z, count, snp_mask](
+          std::uint32_t,
+          const std::vector<std::pair<std::uint32_t, std::vector<double>>>&
+              records) {
         std::vector<std::pair<std::uint32_t, std::vector<double>>> out;
         out.reserve(records.size());
         std::vector<double> scores;
         for (const auto& record : records) {
+          if (record.first >= snp_mask->size() ||
+              (*snp_mask)[record.first] == 0) {
+            continue;
+          }
           stats::BatchedReplicateScores(record.second, z->data(), count,
                                         &scores);
           out.push_back({record.first, scores});
         }
         return out;
       });
-  return engine::CollectAsMap(scored, "collect-score-block");
+  auto block = engine::CollectAsMap(scored, "collect-score-block");
+  snp_replicates.fetch_add(block.size() * count, std::memory_order_relaxed);
+  return block;
 }
 
 const std::unordered_map<std::uint32_t, double>& SkatPipeline::DriverWeights() {
@@ -453,33 +466,42 @@ SkatPipeline::CollectSetGramMatrices() {
   // dominate and are the same bytes the score-block collect moves.
   const auto u_by_snp = engine::CollectAsMap(u_observed_, "collect-u-vectors");
   const std::unordered_map<std::uint32_t, double>& weights = DriverWeights();
+  // One task per set. Each task writes only its own slot, so a retried
+  // attempt simply overwrites it.
+  std::vector<stats::Matrix> slots(sets_.size());
+  ctx_->RunTasks(
+      "set-gram", static_cast<std::uint32_t>(sets_.size()),
+      [&](engine::TaskContext& task) {
+        const std::size_t k = task.partition();
+        // Members with live (unfiltered) U vectors, in declaration order.
+        std::vector<const std::vector<double>*> u;
+        std::vector<double> w;
+        for (std::uint32_t snp : sets_[k].snps) {
+          auto u_it = u_by_snp.find(snp);
+          if (u_it == u_by_snp.end()) continue;  // SNP filtered out
+          auto w_it = weights.find(snp);
+          u.push_back(&u_it->second);
+          w.push_back(w_it == weights.end() ? 1.0 : w_it->second);
+        }
+        const std::size_t d = u.size();
+        stats::Matrix gram(d, d);
+        for (std::size_t a = 0; a < d; ++a) {
+          for (std::size_t b = a; b < d; ++b) {
+            double dot = 0.0;
+            const std::vector<double>& ua = *u[a];
+            const std::vector<double>& ub = *u[b];
+            for (std::size_t i = 0; i < ua.size(); ++i) dot += ua[i] * ub[i];
+            const double m = w[a] * w[b] * dot;
+            gram.at(a, b) = m;
+            gram.at(b, a) = m;
+          }
+        }
+        slots[k] = std::move(gram);
+      });
   std::unordered_map<std::uint32_t, stats::Matrix> grams;
   grams.reserve(sets_.size());
-  for (const stats::SnpSet& set : sets_) {
-    // Members with live (unfiltered) U vectors, in declaration order.
-    std::vector<const std::vector<double>*> u;
-    std::vector<double> w;
-    for (std::uint32_t snp : set.snps) {
-      auto u_it = u_by_snp.find(snp);
-      if (u_it == u_by_snp.end()) continue;  // SNP filtered out
-      auto w_it = weights.find(snp);
-      u.push_back(&u_it->second);
-      w.push_back(w_it == weights.end() ? 1.0 : w_it->second);
-    }
-    const std::size_t d = u.size();
-    stats::Matrix gram(d, d);
-    for (std::size_t a = 0; a < d; ++a) {
-      for (std::size_t b = a; b < d; ++b) {
-        double dot = 0.0;
-        const std::vector<double>& ua = *u[a];
-        const std::vector<double>& ub = *u[b];
-        for (std::size_t i = 0; i < ua.size(); ++i) dot += ua[i] * ub[i];
-        const double m = w[a] * w[b] * dot;
-        gram.at(a, b) = m;
-        gram.at(b, a) = m;
-      }
-    }
-    grams.emplace(set.id, std::move(gram));
+  for (std::size_t k = 0; k < sets_.size(); ++k) {
+    grams.emplace(sets_[k].id, std::move(slots[k]));
   }
   return grams;
 }

@@ -149,9 +149,19 @@ class SkatPipeline {
   /// the serial oracle's canonical accumulation order — see
   /// core/resampling_methods.hpp. Requires the U RDD (EnsureUBuilt or any
   /// observed pass first).
+  ///
+  /// `live` restricts the block to the member SNPs of those sets (null:
+  /// every set, i.e. every SNP of the U RDD). The pass broadcasts a dense
+  /// SNP-id mask of their members, still visits every cached U partition,
+  /// skips the kernel for masked-out records and returns only the
+  /// masked-in SNPs. A SNP's row depends on nothing but its own U vector
+  /// and Z, so every returned row is bitwise equal to the same row of the
+  /// full block. The Monte Carlo driver passes the sets whose stopper has
+  /// not fired.
   std::unordered_map<std::uint32_t, std::vector<double>>
   ComputeMonteCarloScoreBlock(const std::vector<double>& zblock,
-                              std::size_t count);
+                              std::size_t count,
+                              const std::vector<stats::SnpSet>* live = nullptr);
 
   /// Driver-resident unsquared weights ω_j, collected once and memoized.
   const std::unordered_map<std::uint32_t, double>& DriverWeights();
@@ -162,7 +172,10 @@ class SkatPipeline {
   /// null the replicate statistic is exactly Σ_m λ_m χ²₁ with λ_m the
   /// eigenvalues of this matrix — the input to the analytic tail methods
   /// (stats/adaptive_pvalue.hpp). Materializes the U RDD like
-  /// ComputeObserved.
+  /// ComputeObserved. The U vectors are collected to the driver, then the
+  /// Grams are computed in one engine stage ("set-gram", one task per
+  /// set) with each dot product in patient order, so the matrices are
+  /// bitwise independent of threads and scheduling.
   std::unordered_map<std::uint32_t, stats::Matrix> CollectSetGramMatrices();
 
   /// Steps 6-12 from scratch under a permuted phenotype (Algorithm 2).

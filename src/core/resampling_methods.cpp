@@ -257,22 +257,42 @@ bool IsAdaptive(const ResamplingRequest& request) {
 /// Analytic screen: per-set null spectrum from the weighted Gram, then
 /// the Liu (kAnalytic) or saddlepoint (kSaddlepoint/kHybrid — tail
 /// accuracy is what the hybrid screen is for) tail at the observed
-/// statistic. Populates result->inference with refined=false entries.
+/// statistic, one engine task per set. Each task fills its own slot; the
+/// entries then go into result->inference (refined=false) serially, in
+/// result->observed order.
 void AnalyticScreen(SkatPipeline& pipeline, PValueMethod method,
                     ResamplingResult* result) {
   static std::atomic<std::uint64_t>& screens =
       engine::CounterRegistry::Global().Get("pvalue.analytic_screens");
   engine::TraceSpan span(engine::Tracer::Global(), "algo", "analytic screen");
   const auto grams = pipeline.CollectSetGramMatrices();
+  struct Screen {
+    std::uint32_t set_id;
+    double observed;
+    const stats::Matrix* gram;  ///< Null when the set has no Gram.
+    double analytic_p = 1.0;
+  };
+  std::vector<Screen> screened;
+  screened.reserve(result->observed.size());
   for (const auto& [set_id, observed] : result->observed) {
-    std::vector<double> lambda;
     auto it = grams.find(set_id);
-    if (it != grams.end()) lambda = stats::NullSpectrumFromGram(it->second);
+    screened.push_back(
+        {set_id, observed, it == grams.end() ? nullptr : &it->second});
+  }
+  pipeline.context().RunTasks(
+      "analytic-screen", static_cast<std::uint32_t>(screened.size()),
+      [&](engine::TaskContext& task) {
+        Screen& s = screened[task.partition()];
+        std::vector<double> lambda;
+        if (s.gram != nullptr) lambda = stats::NullSpectrumFromGram(*s.gram);
+        s.analytic_p = method == PValueMethod::kAnalytic
+                           ? stats::LiuPValue(lambda, s.observed)
+                           : stats::SaddlepointPValue(lambda, s.observed);
+      });
+  for (const Screen& s : screened) {
     SetInference info;
-    info.analytic_p = method == PValueMethod::kAnalytic
-                          ? stats::LiuPValue(lambda, observed)
-                          : stats::SaddlepointPValue(lambda, observed);
-    result->inference[set_id] = info;
+    info.analytic_p = s.analytic_p;
+    result->inference[s.set_id] = info;
     screens.fetch_add(1, std::memory_order_relaxed);
   }
 }
@@ -321,19 +341,35 @@ class ExceedanceTally {
     return !stoppers_.empty() && request_.replicates > 0;
   }
 
-  /// Offers replicate b's scores to every live stopper, then reports the
-  /// replicate to the sink. Returns true while at least one set is still
-  /// consuming replicates.
+  /// The sets whose stopper has not fired, in `sets` order: the only sets
+  /// the next replicate's statistics are needed for.
+  std::vector<stats::SnpSet> LiveSets(
+      const std::vector<stats::SnpSet>& sets) const {
+    std::vector<stats::SnpSet> live;
+    for (const stats::SnpSet& set : sets) {
+      auto it = stoppers_.find(set.id);
+      if (it != stoppers_.end() && !it->second.stopped()) live.push_back(set);
+    }
+    return live;
+  }
+
+  /// Offers replicate b's scores to every live stopper (`replicate` must
+  /// hold each of them), then reports the replicate to the sink with the
+  /// statistics of exactly the sets that consumed it. Returns true while
+  /// at least one set is still consuming replicates.
   bool Offer(std::uint64_t b, const SetScores& replicate) {
     bool any_active = false;
+    SetScores consumed;
     for (auto& [set_id, stopper] : stoppers_) {
-      auto it = replicate.find(set_id);
-      const double replicate_score = it == replicate.end() ? 0.0 : it->second;
-      stopper.Offer(replicate_score >= result_->observed.at(set_id));
-      if (!stopper.stopped()) any_active = true;
+      if (stopper.stopped()) continue;
+      const double replicate_score = replicate.at(set_id);
+      if (request_.sink != nullptr) consumed.emplace(set_id, replicate_score);
+      if (stopper.Offer(replicate_score >= result_->observed.at(set_id))) {
+        any_active = true;
+      }
     }
     if (request_.sink != nullptr) {
-      request_.sink->OnReplicateScores(b, replicate);
+      request_.sink->OnReplicateScores(b, consumed);
       request_.sink->OnReplicate(b);
     }
     return any_active;
@@ -421,10 +457,16 @@ ResamplingResult RunBatchedMonteCarlo(SkatPipeline& pipeline,
           // the per-replicate streams (bitwise invariant to batching);
           // double-buffered on the I/O lane when prefetch is enabled.
           const std::vector<double> zblock = zblocks.Take(begin, count);
+          // Score and fold only the sets whose stopper has not fired: a
+          // SNP's row and a set's fold depend on nothing else, so every
+          // count is unchanged. Without early stopping every set stays
+          // live, so the block scores every SNP.
+          const std::vector<stats::SnpSet> live =
+              tally.LiveSets(pipeline.sets());
           const auto block =
-              pipeline.ComputeMonteCarloScoreBlock(zblock, count);
+              pipeline.ComputeMonteCarloScoreBlock(zblock, count, &live);
           const std::vector<SetScores> replicate_scores =
-              FoldReplicateScores(pipeline.sets(), block, weights, count);
+              FoldReplicateScores(live, block, weights, count);
           // The block is already computed, so a set that stops mid-batch
           // just ignores its remaining offers.
           bool any_active = false;

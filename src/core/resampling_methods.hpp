@@ -33,6 +33,13 @@
 // exceedances through one tally of per-set sequential stoppers; without
 // early stopping (h = 0) a stopper never fires, which is exhaustive
 // counting.
+//
+// Adaptive Monte Carlo work follows the sets still consuming replicates:
+// each batch scores only the member SNPs of the sets whose stopper has
+// not fired (a masked score block) and folds only those sets, so a
+// hybrid run that refines a handful of sets costs a handful of sets per
+// batch. The analytic screen (per-set Gram, null spectrum, tail) runs as
+// engine stages, one task per set. Neither changes a result bit.
 #pragma once
 
 #include <cstdint>
@@ -131,9 +138,16 @@ class ProgressSink {
   virtual void OnBatchBegin(std::uint64_t /*batch_index*/,
                             std::uint64_t /*begin*/, std::uint64_t /*end*/) {}
 
-  /// Replicate b's per-set statistics S_k^b, emitted just before
-  /// OnReplicate(b). Permutation and Monte Carlo only (SKAT-O replicates
-  /// carry ρ-grids, not a single statistic per set).
+  /// Replicate b's per-set statistics S_k^b for exactly the sets that
+  /// consumed replicate b, emitted just before OnReplicate(b). Legacy runs
+  /// (no screen, no early stopping) deliver every set; adaptive runs
+  /// deliver the sets still consuming replicates — refined sets whose
+  /// stopper had not fired before b — so screened-out sets never appear
+  /// and a set's last appearance is its stop point (Monte Carlo reports
+  /// the rest of the batch in which the last set stops with no sets: the
+  /// block was already computed). Permutation and Monte
+  /// Carlo only (SKAT-O replicates carry ρ-grids, not a single statistic
+  /// per set).
   virtual void OnReplicateScores(std::uint64_t /*b*/,
                                  const SetScores& /*scores*/) {}
 

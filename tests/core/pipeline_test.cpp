@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <set>
+
 #include "baseline/serial_skat.hpp"
 #include "core/record_traits.hpp"
 #include "stats/resampling.hpp"
@@ -208,6 +211,47 @@ TEST(SkatPipelineTest, CachingConfigControlsCacheUse) {
     SkatPipeline pipeline = SkatPipeline::FromMemory(ctx, dataset, config);
     pipeline.ComputeObserved();
     EXPECT_EQ(ctx.cache().stats().insertions, 0u);
+  }
+  // A score block over some of the sets holds exactly their member SNPs,
+  // each row bitwise equal to the full block's, whether U stays resident
+  // (unlimited budget) or a tight budget forces it through spill and
+  // reload between the two passes.
+  for (std::uint64_t budget : {std::uint64_t{0}, std::uint64_t{8000}}) {
+    SCOPED_TRACE("budget=" + std::to_string(budget));
+    engine::EngineContext ctx(LocalOptions());
+    PipelineConfig config;
+    config.cache_budget_bytes = budget;
+    SkatPipeline pipeline = SkatPipeline::FromMemory(ctx, dataset, config);
+    pipeline.EnsureUBuilt();
+    const std::vector<double> zblock =
+        stats::MonteCarloZBlock(config.seed, pipeline.n(), 0, 3);
+    const auto full = pipeline.ComputeMonteCarloScoreBlock(zblock, 3);
+    const std::vector<stats::SnpSet> live = {dataset.sets[1],
+                                             dataset.sets[3]};
+    std::set<std::uint32_t> members;
+    for (const stats::SnpSet& set : live) {
+      members.insert(set.snps.begin(), set.snps.end());
+    }
+    const auto masked = pipeline.ComputeMonteCarloScoreBlock(zblock, 3, &live);
+    std::size_t expected = 0;
+    for (const auto& [snp, row] : full) {
+      if (members.count(snp) == 0) continue;
+      ++expected;
+      ASSERT_TRUE(masked.count(snp)) << "snp " << snp;
+      const std::vector<double>& got = masked.at(snp);
+      ASSERT_EQ(got.size(), row.size());
+      EXPECT_EQ(std::memcmp(got.data(), row.data(),
+                            row.size() * sizeof(double)),
+                0)
+          << "snp " << snp;
+    }
+    EXPECT_GT(expected, 0u);
+    EXPECT_LT(expected, full.size());
+    EXPECT_EQ(masked.size(), expected);
+    if (budget != 0) {
+      EXPECT_GT(ctx.cache().stats().spills, 0u);
+      EXPECT_GT(ctx.cache().stats().reloads, 0u);
+    }
   }
 }
 

@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <set>
 
 #include "baseline/serial_skat.hpp"
+#include "cluster/fault_injector.hpp"
 #include "core/record_traits.hpp"
 
 namespace ss::core {
@@ -244,6 +247,218 @@ TEST(ResamplingMethodsTest, ReplicateScoreStreamMatchesSerialOracle) {
       EXPECT_TRUE(BitEqual(recorder.stream[b].second.at(id), serial[b][k]))
           << "replicate " << b << " set " << k;
     }
+  }
+}
+
+std::uint64_t Counter(const char* name) {
+  return engine::CounterRegistry::Global().Get(name).load();
+}
+
+/// Enough sets, some with small p, that a hybrid screen at p < 0.5
+/// refines several and early stopping at h = 5 fires for some of them.
+simdata::SyntheticDataset AdaptiveDataset() {
+  simdata::GeneratorConfig config;
+  config.num_patients = 80;
+  config.num_snps = 120;
+  config.num_sets = 12;
+  config.seed = 45;
+  return simdata::Generate(config);
+}
+
+TEST(ResamplingMethodsTest, AdaptiveStopPointsMatchSerialOracle) {
+  // Adaptive Monte Carlo batches score and fold only the sets whose
+  // stopper has not fired. Every refined set must still stop exactly where
+  // the serial per-replicate oracle says (the h-th exceedance), and the
+  // sink must see exactly the sets that consumed each replicate, bit for
+  // bit. A mask that dropped a live SNP would move a count or a stop.
+  const simdata::SyntheticDataset dataset = AdaptiveDataset();
+  const stats::Phenotype phenotype = stats::Phenotype::Cox(dataset.survival);
+  baseline::SkatInputs inputs{&dataset.genotypes, &phenotype, &dataset.weights,
+                              &dataset.sets};
+  constexpr std::uint64_t kReplicates = 200;
+  constexpr std::uint64_t kH = 5;
+  const std::vector<std::vector<double>> serial =
+      baseline::SerialMonteCarloReplicateStatistics(inputs, 77, kReplicates);
+  const std::vector<double> observed =
+      baseline::SerialMonteCarlo(inputs, 77, 0).observed;
+
+  struct Recorder final : ProgressSink {
+    std::vector<std::pair<std::uint64_t, SetScores>> stream;
+    void OnReplicateScores(std::uint64_t b, const SetScores& scores) override {
+      stream.push_back({b, scores});
+    }
+  };
+
+  constexpr std::uint64_t kBatch = 8;
+  const auto member_count = [](const std::vector<stats::SnpSet>& sets) {
+    std::set<std::uint32_t> members;
+    for (const stats::SnpSet& set : sets) {
+      members.insert(set.snps.begin(), set.snps.end());
+    }
+    return static_cast<std::uint64_t>(members.size());
+  };
+
+  ResamplingRequest legacy(ResamplingMethod::kMonteCarlo, kReplicates);
+  legacy.batch_size = kBatch;
+  std::uint64_t before = Counter("resampling.snp_replicates");
+  RunWithRequest(dataset, legacy, 0, 4);
+  const std::uint64_t legacy_work =
+      Counter("resampling.snp_replicates") - before;
+  // Unit-Z observed pass plus B replicates over every SNP in some set.
+  EXPECT_EQ(legacy_work, member_count(dataset.sets) * (kReplicates + 1));
+
+  for (PValueMethod pmethod : {PValueMethod::kHybrid,
+                               PValueMethod::kResampling}) {
+    SCOPED_TRACE(pmethod == PValueMethod::kHybrid ? "hybrid" : "resampling");
+    Recorder recorder;
+    ResamplingRequest request(ResamplingMethod::kMonteCarlo, kReplicates);
+    request.batch_size = kBatch;
+    request.pvalue_method = pmethod;
+    request.refine_threshold = 0.5;
+    request.early_stop = kH;
+    request.sink = &recorder;
+    before = Counter("resampling.snp_replicates");
+    const ResamplingResult result = RunWithRequest(dataset, request, 0, 4);
+    const std::uint64_t work = Counter("resampling.snp_replicates") - before;
+    if (pmethod == PValueMethod::kHybrid) {
+      EXPECT_LT(work, legacy_work);
+    }
+
+    std::size_t refined = 0;
+    std::size_t stopped = 0;
+    std::vector<std::uint64_t> used_by_set(dataset.sets.size(), 0);
+    // consuming[b] = indices of the sets that consumed replicate b.
+    std::vector<std::vector<std::size_t>> consuming(kReplicates);
+    for (std::size_t k = 0; k < dataset.sets.size(); ++k) {
+      const std::uint32_t id = dataset.sets[k].id;
+      const SetInference& info = result.inference.at(id);
+      if (!info.refined) {
+        EXPECT_EQ(result.exceed.at(id), 0u) << "set " << k;
+        continue;
+      }
+      ++refined;
+      std::uint64_t used = kReplicates;
+      std::uint64_t exceed = 0;
+      for (std::uint64_t b = 0; b < kReplicates; ++b) {
+        consuming[b].push_back(k);
+        if (serial[b][k] >= observed[k] && ++exceed == kH) {
+          used = b + 1;
+          break;
+        }
+      }
+      if (exceed == kH) ++stopped;
+      used_by_set[k] = used;
+      EXPECT_EQ(info.replicates_used, used) << "set " << k;
+      EXPECT_EQ(result.exceed.at(id), exceed) << "set " << k;
+      EXPECT_EQ(info.early_stopped, exceed == kH) << "set " << k;
+    }
+    EXPECT_GE(refined, 3u);
+    EXPECT_GE(stopped, 1u);
+
+    // Each batch scores exactly the members of the sets live at its start.
+    std::uint64_t expected_work = member_count(dataset.sets);  // observed
+    for (std::uint64_t begin = 0; begin < kReplicates; begin += kBatch) {
+      std::vector<stats::SnpSet> live;
+      for (std::size_t k = 0; k < dataset.sets.size(); ++k) {
+        if (used_by_set[k] > begin) live.push_back(dataset.sets[k]);
+      }
+      if (live.empty()) break;
+      expected_work += member_count(live) *
+                       (std::min(kReplicates, begin + kBatch) - begin);
+    }
+    EXPECT_EQ(work, expected_work);
+
+    // The sink reports every replicate of every executed batch once, in
+    // order: through the last stop point, then (empty) to the end of that
+    // batch.
+    const std::uint64_t last_used =
+        *std::max_element(used_by_set.begin(), used_by_set.end());
+    const std::uint64_t reported =
+        std::min(kReplicates, (last_used + kBatch - 1) / kBatch * kBatch);
+    ASSERT_EQ(recorder.stream.size(), reported);
+    for (std::uint64_t i = 0; i < reported; ++i) {
+      ASSERT_EQ(recorder.stream[i].first, i);
+    }
+    for (const auto& [b, scores] : recorder.stream) {
+      EXPECT_EQ(scores.size(), consuming[b].size()) << "replicate " << b;
+      for (std::size_t k : consuming[b]) {
+        const std::uint32_t id = dataset.sets[k].id;
+        ASSERT_TRUE(scores.count(id)) << "replicate " << b << " set " << k;
+        EXPECT_TRUE(BitEqual(scores.at(id), serial[b][k]))
+            << "replicate " << b << " set " << k;
+      }
+    }
+  }
+}
+
+TEST(ResamplingMethodsTest, ScreenStagesSurviveTaskRetriesAndNodeLoss) {
+  // The analytic screen runs as two engine stages (per-set Gram, then
+  // spectrum + tail), so it sees task retries and node loss like any
+  // other stage; neither may change a bit of the result.
+  const simdata::SyntheticDataset dataset = AdaptiveDataset();
+  ResamplingRequest request(ResamplingMethod::kMonteCarlo, 100);
+  request.batch_size = 8;
+  request.pvalue_method = PValueMethod::kHybrid;
+  request.refine_threshold = 0.5;
+  request.early_stop = 5;
+  PipelineConfig config;
+  config.seed = 77;
+
+  std::uint64_t gram_stage = 0;
+  std::uint64_t screen_stage = 0;
+  std::uint64_t tasks_before_screen = 0;
+  std::uint64_t reference = 0;
+  {
+    engine::EngineContext ctx(LocalOptions());
+    SkatPipeline pipeline = SkatPipeline::FromMemory(ctx, dataset, config);
+    const std::uint64_t before = Counter("resampling.result_hash");
+    RunResampling(pipeline, request);
+    reference = Counter("resampling.result_hash") - before;
+    for (const engine::StageMetrics& stage : ctx.metrics().stages()) {
+      if (stage.label == "set-gram") gram_stage = stage.stage_id;
+      if (stage.label == "analytic-screen") {
+        screen_stage = stage.stage_id;
+        break;
+      }
+      tasks_before_screen += stage.task_seconds.size();
+    }
+  }
+  ASSERT_NE(gram_stage, 0u);
+  ASSERT_NE(screen_stage, 0u);
+
+  {
+    cluster::FaultInjector faults;
+    engine::EngineContext ctx(LocalOptions(), nullptr, &faults);
+    faults.FailTask(gram_stage, 0, 2);
+    faults.FailTask(screen_stage, dataset.sets.size() - 1, 1);
+    SkatPipeline pipeline = SkatPipeline::FromMemory(ctx, dataset, config);
+    const std::uint64_t before = Counter("resampling.result_hash");
+    RunResampling(pipeline, request);
+    EXPECT_EQ(Counter("resampling.result_hash") - before, reference);
+    int gram_failures = 0;
+    int screen_failures = 0;
+    for (const engine::StageMetrics& stage : ctx.metrics().stages()) {
+      if (stage.stage_id == gram_stage) gram_failures = stage.failed_attempts;
+      if (stage.stage_id == screen_stage) {
+        screen_failures = stage.failed_attempts;
+      }
+    }
+    EXPECT_EQ(gram_failures, 2);
+    EXPECT_EQ(screen_failures, 1);
+  }
+
+  {
+    // Fires after the screen's second task: the cached U partitions on
+    // node 1 are lost and the refinement batches rebuild them by lineage.
+    cluster::FaultInjector faults;
+    engine::EngineContext ctx(LocalOptions(), nullptr, &faults);
+    faults.FailNodeAfterTasks(1, tasks_before_screen + 2);
+    SkatPipeline pipeline = SkatPipeline::FromMemory(ctx, dataset, config);
+    const std::uint64_t before = Counter("resampling.result_hash");
+    RunResampling(pipeline, request);
+    EXPECT_EQ(Counter("resampling.result_hash") - before, reference);
+    ASSERT_TRUE(faults.HasFired(1));
+    EXPECT_GT(ctx.cache().stats().dropped_by_failure, 0u);
   }
 }
 
