@@ -119,8 +119,8 @@ struct ScaleRun {
   std::uint64_t result_hash = 0;
   std::uint64_t baseline_rss = 0;
   std::uint64_t peak_rss = 0;
-  std::uint64_t spills = 0;
-  std::uint64_t reloads = 0;
+  std::uint64_t evictions = 0;
+  std::uint64_t computes = 0;
   std::uint64_t store_opens = 0;
   std::uint64_t frame_reads = 0;
   std::uint64_t read_bytes = 0;
@@ -170,8 +170,8 @@ std::optional<ScaleRun> RunBudget(const Workload& base,
                 static_cast<double>(iters) / run.seconds
           : 0.0;
   run.result_hash = Counter("resampling.result_hash");
-  run.spills = Counter("cache.spills");
-  run.reloads = Counter("cache.reloads");
+  run.evictions = Counter("cache.evictions");
+  run.computes = Counter("cache.computes");
   run.store_opens = Counter("store.opens");
   run.frame_reads = Counter("store.frame_reads");
   run.read_bytes = Counter("store.read_bytes");
@@ -235,25 +235,19 @@ int Run(int argc, char** argv) {
       std::max<std::uint64_t>(1, base.generator.num_snps / 1000)));
   base.pipeline.resampling_batch_size =
       std::max<std::uint64_t>(1, args.GetU64("batch", 32));
-  // Cache the observed U RDD (Algorithm 3); under a tight budget it
-  // spills to real files while store-backed genotype partitions drop and
-  // re-read off the mmap. cache_u=0 ablates to recompute-per-pass.
+  // Cache the observed U RDD (Algorithm 3); under a tight budget evicted
+  // U partitions are recomputed from lineage and store-backed genotype
+  // partitions re-read off the mmap. cache_u=0 ablates to
+  // recompute-per-pass.
   base.pipeline.cache_contributions = args.GetBool("cache_u", true);
   // The async I/O lane is the default here: streaming off the store is
-  // exactly the workload prefetch + background spill exist to overlap.
+  // exactly the workload prefetch exists to overlap.
   base.engine.exec.prefetch_depth =
       static_cast<int>(args.GetU64("prefetch", 2));
   base.engine.exec.io_threads = static_cast<int>(
       std::max<std::uint64_t>(1, args.GetU64("io_threads", 2)));
-  base.engine.exec.spill_async = args.GetBool("spill_async", true);
 
   const std::filesystem::path tmp = std::filesystem::temp_directory_path();
-  if (base.engine.spill_dir.empty()) {
-    // Spilled U frames must hit real files: an in-memory spill tier would
-    // count against the very RSS this bench asserts on.
-    base.engine.spill_dir = (tmp / "ss_bench_scale_spill").string();
-  }
-  std::filesystem::create_directories(base.engine.spill_dir);
 
   // Resampling depth amortizes the streaming I/O: each MC replicate reuses
   // the same U partitions, so out-of-core overhead shrinks as B grows —
@@ -334,14 +328,15 @@ int Run(int argc, char** argv) {
   Table table("Streaming MC @ " + std::to_string(iters) + " iters, store=" +
                   std::to_string(store_bytes) + " bytes",
               {"budget (bytes)", "seconds", "Mscores/s", "peak RSS MiB",
-               "dRSS MiB", "spills", "reloads", "frame reads", "prefetched"});
+               "dRSS MiB", "evictions", "computes", "frame reads",
+               "prefetched"});
   for (const ScaleRun& run : runs) {
     table.AddRow(
         {run.budget == 0 ? "unlimited" : std::to_string(run.budget),
          Table::Num(run.seconds, 3), Table::Num(run.scores_per_sec / 1e6, 3),
          Table::Num(static_cast<double>(run.peak_rss) / (1024.0 * 1024.0), 1),
          Table::Num(static_cast<double>(run.RssDelta()) / (1024.0 * 1024.0), 1),
-         std::to_string(run.spills), std::to_string(run.reloads),
+         std::to_string(run.evictions), std::to_string(run.computes),
          std::to_string(run.frame_reads), std::to_string(run.prefetch_frames)});
   }
   table.Print();
@@ -392,7 +387,7 @@ int Run(int argc, char** argv) {
           out,
           "{\"bench\":\"bench_scale\",\"patients\":%u,\"snps\":%u,"
           "\"sets\":%u,\"partitions\":%u,\"iters\":%llu,\"batch\":%llu,"
-          "\"prefetch\":%d,\"io_threads\":%d,\"spill_async\":%s,"
+          "\"prefetch\":%d,\"io_threads\":%d,"
           "\"cache_u\":%s,\"faithful\":%s,\"store_bytes\":%llu,"
           "\"stage_seconds\":%.3f,\"rss_slack_mb\":%llu,"
           "\"hashes_identical\":%s,\"rss_within_budget\":%s,\"runs\":[",
@@ -401,7 +396,6 @@ int Run(int argc, char** argv) {
           static_cast<unsigned long long>(iters),
           static_cast<unsigned long long>(base.pipeline.resampling_batch_size),
           base.engine.exec.prefetch_depth, base.engine.exec.io_threads,
-          base.engine.exec.spill_async ? "true" : "false",
           base.pipeline.cache_contributions ? "true" : "false",
           base.pipeline.paper_faithful_scores ? "true" : "false",
           static_cast<unsigned long long>(store_bytes), stage_seconds,
@@ -414,7 +408,7 @@ int Run(int argc, char** argv) {
             "%s{\"budget_bytes\":%llu,\"seconds\":%.6f,"
             "\"scores_per_sec\":%.1f,\"result_hash\":\"%016llx\","
             "\"baseline_rss_bytes\":%llu,\"peak_rss_bytes\":%llu,"
-            "\"rss_delta_bytes\":%llu,\"spills\":%llu,\"reloads\":%llu,"
+            "\"rss_delta_bytes\":%llu,\"evictions\":%llu,\"computes\":%llu,"
             "\"store_opens\":%llu,\"frame_reads\":%llu,\"read_bytes\":%llu,"
             "\"prefetch_frames\":%llu,\"corrupt\":%llu}",
             i == 0 ? "" : ",",
@@ -424,8 +418,8 @@ int Run(int argc, char** argv) {
             static_cast<unsigned long long>(run.baseline_rss),
             static_cast<unsigned long long>(run.peak_rss),
             static_cast<unsigned long long>(run.RssDelta()),
-            static_cast<unsigned long long>(run.spills),
-            static_cast<unsigned long long>(run.reloads),
+            static_cast<unsigned long long>(run.evictions),
+            static_cast<unsigned long long>(run.computes),
             static_cast<unsigned long long>(run.store_opens),
             static_cast<unsigned long long>(run.frame_reads),
             static_cast<unsigned long long>(run.read_bytes),

@@ -106,11 +106,11 @@ SkatPipeline::SkatPipeline(engine::EngineContext& ctx,
   });
 
   if (config_.pack_genotypes) {
-    // The genotype partitions that live in the cache (and spill under a
-    // budget) are the 2-bit packed form — 4x fewer bytes. The byte
-    // counters track both representations so the run report can show
-    // the savings; lineage recomputation re-adds to both, preserving
-    // the packed/unpacked ratio.
+    // The genotype partitions that live in the cache are the 2-bit
+    // packed form — 4x fewer bytes. The byte counters track both
+    // representations so the run report can show the savings; lineage
+    // recomputation re-adds to both, preserving the packed/unpacked
+    // ratio.
     auto& registry = engine::CounterRegistry::Global();
     std::atomic<std::uint64_t>* packed_bytes =
         &registry.Get("genotype.packed_bytes");
@@ -276,11 +276,9 @@ Result<SkatPipeline> SkatPipeline::OpenFromStore(
   auto node = std::make_shared<StoreGenotypeNode>(&ctx, std::move(store),
                                                   std::move(membership));
   if (pipeline.config_.cache_contributions) {
-    // Cache decoded partitions under the budget, but evict by dropping:
-    // the store is this dataset's durable tier, so a spill copy would
-    // just double the I/O (see StoreGenotypeNode).
+    // Cache decoded partitions under the budget; an evicted partition is
+    // re-read from the store (see StoreGenotypeNode).
     node->EnableCache();
-    node->DisableCacheSpill();
   }
   pipeline.fgm_packed_ =
       engine::Dataset<stats::PackedSnpRecord>(&ctx, std::move(node));

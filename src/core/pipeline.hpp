@@ -61,13 +61,14 @@ struct PipelineConfig {
 
   /// Memory budget for the engine's partition cache, applied to the
   /// context when the pipeline is built; 0 keeps the context's own
-  /// setting. A budget small enough to force eviction makes cached U
-  /// partitions spill to the second tier (see engine/cache_manager.hpp);
-  /// the constrained-memory benches set this.
+  /// setting. A budget small enough to force eviction drops
+  /// least-recently-used partitions, which are recomputed from lineage
+  /// on their next use (see engine/cache_manager.hpp); the
+  /// constrained-memory benches set this.
   std::uint64_t cache_budget_bytes = 0;
 
   /// Store filtered genotypes as 2-bit packed blocks
-  /// (stats::PackedGenotypeBlock): ~4x fewer bytes per cached/spilled
+  /// (stats::PackedGenotypeBlock): ~4x fewer bytes per cached
   /// genotype partition under `cache_budget=`, decoded to dosages just
   /// before scoring. Packing is lossless, so results are bitwise
   /// identical either way; `pack=0` in the CLI/benches is the ablation.
@@ -217,7 +218,7 @@ class SkatPipeline {
 
   engine::Dataset<simdata::SnpRecord> fgm_;  ///< Filtered genotype RDD (step 4).
 
-  /// 2-bit packed form of fgm_ (the cached/spilled genotype format when
+  /// 2-bit packed form of fgm_ (the cached genotype format when
   /// `pack_genotypes` is set); all U builds decode from this instead.
   engine::Dataset<stats::PackedSnpRecord> fgm_packed_;
   engine::Dataset<std::pair<std::uint32_t, double>> weights_sq_;  ///< Step 2.

@@ -77,7 +77,7 @@ struct Codec<ss::simdata::SnpRecord> {
   }
 };
 
-/// Spill/checkpoint serialization for 2-bit packed genotype records.
+/// Checkpoint serialization for 2-bit packed genotype records.
 template <>
 struct Codec<ss::stats::PackedSnpRecord> {
   static void Encode(BinaryWriter& writer,
@@ -97,13 +97,5 @@ struct Codec<ss::stats::PackedSnpRecord> {
     return record;
   }
 };
-
-// Genotype partitions (both representations) may cross the cache's
-// spill tier: the Codecs above round-trip them exactly.
-template <>
-inline constexpr bool kSpillable<ss::simdata::SnpRecord> = true;
-
-template <>
-inline constexpr bool kSpillable<ss::stats::PackedSnpRecord> = true;
 
 }  // namespace ss::engine

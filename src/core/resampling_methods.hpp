@@ -211,10 +211,10 @@ struct ResamplingRequest {
   /// Optional progress observer; not owned, may be null.
   ProgressSink* sink = nullptr;
 
-  /// Async-executor knobs for this run (prefetch depth, I/O threads,
-  /// background spill). Applied to the pipeline's engine context before
-  /// the first batch and sticky thereafter; unset keeps the context's
-  /// current configuration. Bitwise-irrelevant to the results —
+  /// Async-executor knobs for this run (prefetch depth, I/O threads).
+  /// Applied to the pipeline's engine context before the first batch and
+  /// sticky thereafter; unset keeps the context's current configuration.
+  /// Bitwise-irrelevant to the results —
   /// `exec.prefetch_depth = 0` ablates the async path entirely.
   std::optional<engine::ExecConfig> exec;
 };

@@ -7,7 +7,6 @@
 #include "engine/approx_bytes.hpp"
 #include "engine/profile.hpp"
 #include "simdata/store_codec.hpp"
-#include "support/stopwatch.hpp"
 
 namespace ss::core {
 
@@ -24,14 +23,13 @@ StoreGenotypeNode::StoreGenotypeNode(
   // ~StoreGenotypeNode unregisters and drains before `this` dies.
   ctx_->cache().RegisterFetcher(
       id(), [this](std::uint32_t partition) -> engine::FetchedPartition {
-        Stopwatch stopwatch;
         Result<std::vector<stats::PackedSnpRecord>> records =
             Materialize(partition);
         if (!records.ok()) return {};  // demand path surfaces the error
         auto value = std::make_shared<std::vector<stats::PackedSnpRecord>>(
             std::move(records).value());
         const std::uint64_t bytes = engine::ApproxBytesOfPartition(*value);
-        return {std::move(value), bytes, stopwatch.ElapsedSeconds()};
+        return {std::move(value), bytes};
       });
 }
 

@@ -85,22 +85,6 @@ struct Codec<std::vector<T>, std::enable_if_t<!std::is_trivially_copyable_v<std:
   }
 };
 
-/// True when `Codec<T>` round-trips T without a user-provided
-/// specialization, i.e. the partition can cross the cache's spill tier.
-/// Mirrors the Codec specializations above; extend both together.
-template <typename T>
-inline constexpr bool kSpillable = std::is_trivially_copyable_v<T>;
-
-template <>
-inline constexpr bool kSpillable<std::string> = true;
-
-template <typename A, typename B>
-inline constexpr bool kSpillable<std::pair<A, B>> =
-    kSpillable<A> && kSpillable<B>;
-
-template <typename T>
-inline constexpr bool kSpillable<std::vector<T>> = kSpillable<T>;
-
 /// Serializes a whole partition.
 template <typename T>
 std::vector<std::uint8_t> EncodePartition(const std::vector<T>& records) {

@@ -46,12 +46,9 @@ class EngineContext {
     /// Cache budget in bytes; 0 = unlimited.
     std::uint64_t cache_capacity_bytes = 0;
 
-    /// Spill tier switch: when true (default), evicted spillable
-    /// partitions move to the spill store instead of being discarded.
-    bool cache_spill = true;
-
-    /// Spill frame location: empty = in-memory block store, else a
-    /// directory real spill files are written under.
+    /// Ignored. The cache holds no second tier — an evicted partition is
+    /// recomputed from its lineage — so there is nothing to write here;
+    /// the field remains only so existing callers that set it still build.
     std::string spill_dir;
 
     /// Attempts per task before the job fails (Spark's spark.task.maxFailures
@@ -65,10 +62,10 @@ class EngineContext {
     /// Overhead model used when replaying metrics onto the topology.
     cluster::CostModel cost_model;
 
-    /// Async-executor knobs (I/O lane, prefetch depth, background spill).
+    /// Async-executor knobs (I/O lane, prefetch depth).
     /// `prefetch_depth == 0` disables the lane entirely — stages run the
-    /// legacy synchronous loop. Overridable via the SS_PREFETCH /
-    /// SS_SPILL_ASYNC environment variables (the CI ablation matrix).
+    /// legacy synchronous loop. Overridable via the SS_PREFETCH
+    /// environment variable (the CI ablation matrix).
     ExecConfig exec;
   };
 
@@ -90,7 +87,7 @@ class EngineContext {
   /// dispatched through a per-stage channel, and a non-empty
   /// `prefetch_chain` names the cached datasets (nearest first — RunStage
   /// derives the chain from the lineage) whose partitions the lane
-  /// reloads/decodes/fetches ahead of the compute frontier; per partition
+  /// fetches ahead of the compute frontier; per partition
   /// the lane stops at the first chain level the cache can serve.
   /// Scheduling changes; per-partition results and all driver-side fold
   /// orders do not.
@@ -156,7 +153,7 @@ class EngineContext {
 
   /// Queues an advisory warm-up of `partition` on the I/O lane: the job
   /// walks `chain` and stops at the first dataset the cache can serve
-  /// (hit / spill reload / backing-store fetch).
+  /// (a resident partition or a backing-store fetch).
   void IssuePrefetch(const std::vector<std::uint64_t>& chain,
                      std::uint32_t partition);
 

@@ -1,16 +1,15 @@
 // The engine's I/O lane: a small dedicated thread group that overlaps
-// spill/prefetch I/O with kernel execution.
+// prefetch I/O with kernel execution.
 //
 // Stage workers (the ThreadPool) own compute; the AsyncExecutor owns the
-// work that used to serialize against it — reloading + decoding spilled
-// partitions ahead of the task that will need them (prefetch), writing
-// evicted frames in the background (async spill), and generating the next
-// batch's Monte Carlo Z-block while the current one scores. Jobs flow
+// work that used to serialize against it — fetching + decoding store
+// frames ahead of the task that will need them (prefetch), and generating
+// the next batch's Monte Carlo Z-block while the current one scores. Jobs flow
 // through a bounded support::Channel, so a producer that outruns the lane
 // blocks (backpressure) instead of queueing unbounded memory.
 //
 // Two enqueue disciplines, matching the two kinds of work:
-//   * Enqueue  — must-run jobs (spill writes): blocks when the queue is
+//   * Enqueue  — must-run jobs (Z-blocks): blocks when the queue is
 //     full; false only if the executor is shut down, in which case the
 //     caller owns running the job inline.
 //   * TryEnqueue — advisory jobs (prefetch): dropped when the queue is
@@ -18,9 +17,9 @@
 //     pure overhead. Results never depend on a prefetch happening.
 //
 // Determinism: the lane only *moves* work off the critical path — every
-// job either duplicates a pure computation (Z-block), performs a reload
-// the consumer would otherwise do itself, or persists bytes whose content
-// is already fixed. Scheduling changes, fold order never does.
+// job either duplicates a pure computation (Z-block) or performs a store
+// read the consumer would otherwise do itself. Scheduling changes, fold
+// order never does.
 #pragma once
 
 #include <cstddef>
@@ -39,20 +38,15 @@
 namespace ss::engine {
 
 /// Executor knobs; surfaced as ResamplingRequest::exec and the
-/// `prefetch=`/`io_threads=`/`spill_async=` CLI/bench keys.
+/// `prefetch=`/`io_threads=` CLI/bench keys.
 struct ExecConfig {
-  /// Partitions reloaded/decoded ahead of the stage's compute frontier.
+  /// Partitions fetched/decoded ahead of the stage's compute frontier.
   /// 0 ablates the whole async path: stages run the legacy synchronous
   /// ParallelFor loop and nothing is enqueued on the I/O lane.
   int prefetch_depth = 1;
 
   /// Threads servicing the I/O lane (min 1 when the lane is active).
   int io_threads = 1;
-
-  /// Move spill-frame encode+write off the evicting task onto the lane.
-  /// Off by default: fault-injection tests that corrupt frames right
-  /// after an eviction assume the write already happened.
-  bool spill_async = false;
 
   /// Bound of the job queue; producers block (Enqueue) or drop
   /// (TryEnqueue) beyond it.
@@ -66,7 +60,7 @@ class AsyncExecutor {
   explicit AsyncExecutor(ExecConfig config);
 
   /// Closes the queue, runs every already-accepted job to completion
-  /// (spill writes are never lost), then joins. Must not race Enqueue.
+  /// (Z-blocks are never lost), then joins. Must not race Enqueue.
   ~AsyncExecutor();
 
   AsyncExecutor(const AsyncExecutor&) = delete;
@@ -95,20 +89,12 @@ class AsyncExecutor {
     return future;
   }
 
-  /// Blocks until every accepted job has finished. Used at fault-injection
-  /// boundaries (InjureSpill must not race in-flight frame writes) and by
-  /// tests; NOT needed at stage boundaries — jobs are self-contained.
+  /// Blocks until every accepted job has finished. Used by tests; NOT
+  /// needed at stage boundaries — jobs are self-contained.
   void Drain();
 
   /// Jobs accepted but not yet finished.
   std::uint64_t pending() const;
-
-  /// True on an I/O-lane worker thread (any executor's). Producers that
-  /// can run on the lane itself (a prefetch whose eviction schedules a
-  /// spill write) must not block on Enqueue there: with every worker busy
-  /// producing, nobody drains the queue and Push deadlocks against its
-  /// own backpressure. Such callers run the job inline instead.
-  static bool OnLaneThread();
 
  private:
   void IoLoop(int worker_index);

@@ -24,8 +24,8 @@ thread_local bool t_phase_open = false;
 std::atomic<bool> g_profiling_enabled{true};
 
 constexpr const char* kPhaseNames[kNumTaskPhases] = {
-    "queue_wait", "fetch",    "decode",   "compute",
-    "spill_write", "handoff", "prefetch", "io_wait"};
+    "queue_wait", "fetch", "decode", "compute", "handoff", "prefetch",
+    "io_wait"};
 
 void AppendNum(std::string* out, double value) {
   char buffer[32];
@@ -288,7 +288,7 @@ std::string FormatProfileReport(const RunProfile& profile) {
 
   Table stages("Stage phase breakdown (seconds)",
                {"id", "label", "tasks", "queue", "fetch", "decode", "compute",
-                "spill", "handoff", "prefetch", "io_wait", "p50", "p95", "max",
+                "handoff", "prefetch", "io_wait", "p50", "p95", "max",
                 "stragglers"});
   for (const StageTimingStats& s : profile.stages) {
     std::string stragglers = std::to_string(s.straggler_partitions.size());
@@ -306,7 +306,6 @@ std::string FormatProfileReport(const RunProfile& profile) {
                    Table::Num(s.phase_seconds[4], 4),
                    Table::Num(s.phase_seconds[5], 4),
                    Table::Num(s.phase_seconds[6], 4),
-                   Table::Num(s.phase_seconds[7], 4),
                    Table::Num(s.p50_seconds, 4), Table::Num(s.p95_seconds, 4),
                    Table::Num(s.max_seconds, 4), stragglers});
   }

@@ -2,9 +2,9 @@
 //
 // Collection side: EngineContext binds the executing attempt's
 // TaskTimeline to a thread-local slot (TaskTimelineScope); instrumented
-// layers — the cache manager's spill reload/write, the DFS/shuffle input
-// readers, the packed-genotype decode in the pipeline — open a PhaseTimer
-// around the work. When profiling is off (SetProfilingEnabled(false)) or
+// layers — the cache manager's store fetch and fetch wait, the DFS/shuffle
+// input readers, the packed-genotype decode in the pipeline — open a
+// PhaseTimer around the work. When profiling is off (SetProfilingEnabled(false)) or
 // no task is bound, a PhaseTimer is a single thread-local load; results
 // are bitwise identical either way because the profiler only reads
 // clocks, never touches data. Phase timers never nest: an inner timer

@@ -21,17 +21,16 @@ namespace ss::engine {
 /// explicitly timed sub-phase — so the phases of a task always sum to
 /// its total by construction.
 enum class TaskPhase : std::uint8_t {
-  kQueueWait = 0,   ///< Stage submitted -> attempt starts on a worker.
-  kFetch = 1,       ///< Input fetch: DFS block read, shuffle bucket read.
-  kDecode = 2,      ///< Spill-frame reload/decode, packed-genotype unpack.
-  kCompute = 3,     ///< Kernel/closure execution (the unattributed rest).
-  kSpillWrite = 4,  ///< Spill-frame encode + write forced by this task.
-  kHandoff = 5,     ///< Result copy-out to the driver's stage buffer.
-  kPrefetch = 6,    ///< Issuing prefetch jobs to the I/O lane.
-  kIoWait = 7,      ///< Blocked on an in-flight I/O-lane reload.
+  kQueueWait = 0,  ///< Stage submitted -> attempt starts on a worker.
+  kFetch = 1,      ///< Input fetch: DFS block/store frame, shuffle bucket.
+  kDecode = 2,     ///< Store-frame decode, packed-genotype unpack.
+  kCompute = 3,    ///< Kernel/closure execution (the unattributed rest).
+  kHandoff = 4,    ///< Result copy-out to the driver's stage buffer.
+  kPrefetch = 5,   ///< Issuing prefetch jobs to the I/O lane.
+  kIoWait = 6,     ///< Blocked on an in-flight I/O-lane fetch.
 };
 
-inline constexpr std::size_t kNumTaskPhases = 8;
+inline constexpr std::size_t kNumTaskPhases = 7;
 
 /// Lowercase stable identifier used in the metrics JSON and trace.
 const char* TaskPhaseName(TaskPhase phase);

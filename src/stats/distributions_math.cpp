@@ -8,9 +8,13 @@
 namespace ss::stats {
 namespace {
 
-// lgamma is thread-safe via std::lgamma on glibc when not inspecting
-// signgam; inputs here are positive so the sign is always +.
-double LogGamma(double x) { return std::lgamma(x); }
+// lgamma_r, not std::lgamma: glibc's lgamma stores the sign in the
+// global `signgam`, a data race once the analytic screen runs on pool
+// threads. Same value; inputs here are positive so the sign is always +.
+double LogGamma(double x) {
+  int sign = 0;
+  return ::lgamma_r(x, &sign);
+}
 
 /// Series representation of P(a, x); converges quickly for x < a + 1.
 double GammaPSeries(double a, double x) {

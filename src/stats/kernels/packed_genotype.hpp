@@ -1,5 +1,5 @@
 // 2-bit packed genotype storage, PLINK-.bed style: four dosages per
-// byte, so a cached/spilled genotype partition costs ~4x fewer bytes
+// byte, so a cached genotype partition costs ~4x fewer bytes
 // under `cache_budget=`. Dosage codes 0..3 are stored directly in two
 // bits (our simulated dosages are 0/1/2); a block containing any dosage
 // above 3 falls back to raw byte storage so packing is always lossless.
@@ -52,7 +52,7 @@ class PackedGenotypeBlock {
 };
 
 /// Packed counterpart of `simdata::SnpRecord`: the storage format for
-/// genotype partitions in the cache and spill tier.
+/// genotype partitions in the cache.
 struct PackedSnpRecord {
   std::uint32_t snp = 0;
   PackedGenotypeBlock genotypes;

@@ -74,9 +74,6 @@ const std::vector<OptionKeyDef>& OptionKeyRegistry() {
        {}},
       {"cache_budget", OptionType::kU64, "0",
        "partition-cache budget in bytes (0 = unlimited)", "engine", {}},
-      {"spill_dir", OptionType::kString, "",
-       "directory for spill frames (empty = in-memory block store)", "engine",
-       {}},
       {"pack", OptionType::kBool, "1",
        "2-bit packed genotype storage (bitwise-identical results)", "engine",
        {}},
@@ -94,10 +91,6 @@ const std::vector<OptionKeyDef>& OptionKeyRegistry() {
        "exec", {}},
       {"io_threads", OptionType::kU64, "1", "threads on the I/O lane", "exec",
        {}},
-      {"spill_async", OptionType::kBool, "0",
-       "move spill writes off the critical path onto the I/O lane (also "
-       "SS_SPILL_ASYNC)",
-       "exec", {}},
       // -- analysis: what is computed and reported --------------------------
       {"reps", OptionType::kU64, "", "resampling replicates B", "analysis",
        {}},

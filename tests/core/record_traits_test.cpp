@@ -1,4 +1,4 @@
-// Pins the ApproxBytes estimates and spill codecs for the genotype record
+// Pins the ApproxBytes estimates and checkpoint codecs for the genotype record
 // types, so cache-budget accounting can't silently drift: SnpRecord must
 // charge vector capacity (not size), and the packed representation must
 // come out ~4x smaller for the same SNP.
@@ -13,11 +13,6 @@
 
 namespace ss::engine {
 namespace {
-
-static_assert(kSpillable<ss::simdata::SnpRecord>,
-              "genotype partitions must be eligible for the spill tier");
-static_assert(kSpillable<ss::stats::PackedSnpRecord>,
-              "packed genotype partitions must be eligible for the spill tier");
 
 TEST(RecordTraitsTest, SnpRecordApproxBytesChargesCapacityNotSize) {
   ss::simdata::SnpRecord record;

@@ -1,11 +1,11 @@
 // Store-backed pipeline semantics: OpenFromStore must be a drop-in,
-// bitwise-equal replacement for the in-memory (and spill-backed) paths —
-// pinned via the order-independent `resampling.result_hash` across
-// threads {1,4} x prefetch {0,2} — and the store file must behave as the
-// genotype dataset's spill tier: reopened without re-staging, refused on
-// fingerprint mismatch, re-read (not recomputed from text) after an
-// eviction drop, and streamed ahead of the compute wave by the prefetch
-// lane's registered fetcher.
+// bitwise-equal replacement for the in-memory paths (unlimited and tight
+// budget) — pinned via the order-independent `resampling.result_hash`
+// across threads {1,4} x prefetch {0,2} — and the store file must behave
+// as the genotype dataset's durable copy: reopened without re-staging,
+// refused on fingerprint mismatch, re-read (not recomputed from text)
+// after an eviction drop, and streamed ahead of the compute wave by the
+// prefetch lane's registered fetcher.
 #include "core/pipeline.hpp"
 
 #include <gtest/gtest.h>
@@ -100,7 +100,7 @@ TEST(StorePipelineTest, ObservedScoresBitwiseEqualInMemory) {
 }
 
 TEST(StorePipelineTest, ResultHashInvariantAcrossBackingsThreadsPrefetch) {
-  // The ISSUE's differential matrix: {in-memory, spill-backed,
+  // The differential matrix: {in-memory, in-memory under a tight budget,
   // store-backed} x threads {1,4} x prefetch {0,2}, one hash.
   const std::string path = StageStore("ss_store_differential.ssg", 4);
   const simdata::GeneratorConfig generator = StudyConfig();
@@ -118,10 +118,9 @@ TEST(StorePipelineTest, ResultHashInvariantAcrossBackingsThreadsPrefetch) {
             ctx, simdata::Generate(generator), StudyPipelineConfig());
         hashes.push_back(ResamplingHash(pipeline, prefetch));
       }
-      {  // Spill-backed: budget small enough to churn the spill tier.
+      {  // In-memory, budget small enough to churn evict + recompute.
         engine::EngineContext::Options options = LocalOptions(threads);
         options.cache_capacity_bytes = 6000;
-        options.cache_spill = true;
         engine::EngineContext ctx(options);
         SkatPipeline pipeline = SkatPipeline::FromMemory(
             ctx, simdata::Generate(generator), StudyPipelineConfig());
@@ -208,7 +207,7 @@ TEST(StorePipelineTest, FingerprintMismatchRefusedWithDiagnostic) {
 }
 
 TEST(StorePipelineTest, EvictionDropsToStoreAndRereadsFrames) {
-  // The store is the dataset's spill tier: under an unlimited budget a
+  // The store is the dataset's durable copy: under an unlimited budget a
   // second pass over the genotypes is pure cache hits (no new frame
   // reads); under a tight budget evicted partitions are DROPPED (no
   // second on-disk copy) and the next pass re-reads their frames.
@@ -239,7 +238,7 @@ TEST(StorePipelineTest, EvictionDropsToStoreAndRereadsFrames) {
     opened.value().ComputeObserved();
     const std::uint64_t after_observed = Counter("store.frame_reads");
     opened.value().ComputePermutationReplicate(identity);
-    // Dropped partitions came back from the mmap, not from a spill copy.
+    // Dropped partitions came back from the mmap, not from text.
     EXPECT_GT(Counter("store.frame_reads"), after_observed);
   }
 }

@@ -16,13 +16,13 @@
 namespace ss::engine {
 namespace {
 
-/// A context with one completed stage, some cache traffic, and spill
-/// activity, so every section of the document is populated.
+/// A context with one completed stage and some cache traffic, including
+/// evictions, so every section of the document is populated.
 std::string SampleRunMetricsJson() {
   EngineContext::Options options;
   options.topology = cluster::EmrCluster(2);
   options.physical_threads = 2;
-  options.cache_capacity_bytes = 64;  // forces eviction -> spill
+  options.cache_capacity_bytes = 64;  // forces eviction -> recompute
   EngineContext ctx(options);
   std::vector<int> data(100);
   auto ds = Parallelize(ctx, data, 4).Map([](const int& x) { return x + 1; });
@@ -121,8 +121,8 @@ TEST(RunMetricsSchemaTest, TimelineStageKeySetAndOrder) {
 TEST(RunMetricsSchemaTest, TimelinePhaseNamesArePinned) {
   const std::string json = SampleRunMetricsJson();
   EXPECT_NE(json.find("\"phases\":[\"queue_wait\",\"fetch\",\"decode\","
-                      "\"compute\",\"spill_write\",\"handoff\","
-                      "\"prefetch\",\"io_wait\"]"),
+                      "\"compute\",\"handoff\",\"prefetch\","
+                      "\"io_wait\"]"),
             std::string::npos)
       << json;
 }
@@ -158,16 +158,13 @@ TEST(RunMetricsSchemaTest, TotalsKeySetAndOrder) {
                     "totals");
 }
 
-TEST(RunMetricsSchemaTest, CacheKeySetAndOrderIncludingSpillTier) {
+TEST(RunMetricsSchemaTest, CacheKeySetAndOrder) {
   const std::string json = SampleRunMetricsJson();
-  // The golden cache snapshot: the memory-tier keys shipped in v1 plus the
-  // spill-tier extension. Order matters (the emitter concatenates by hand
-  // and consumers may rely on it).
+  // The golden cache snapshot: the keys shipped in v1. Order matters (the
+  // emitter concatenates by hand and consumers may rely on it).
   const std::string cache_golden =
       "\"cache\":{\"hits\":,\"misses\":,\"insertions\":,\"evictions\":,"
-      "\"dropped_by_failure\":,\"bytes_cached\":,\"spills\":,"
-      "\"spill_bytes\":,\"reloads\":,\"reload_nanos\":,\"spill_corrupt\":,"
-      "\"bytes_spilled\":}";
+      "\"dropped_by_failure\":,\"bytes_cached\":}";
   // Rebuild the same shape from the document: strip digits inside the
   // cache object, then compare against the golden skeleton.
   const std::size_t begin = json.find("\"cache\":{");
@@ -198,11 +195,12 @@ TEST(RunMetricsSchemaTest, CacheValuesAreUnsignedIntegers) {
   }
 }
 
-TEST(RunMetricsSchemaTest, SpillCountersAppearInCounterRegistry) {
+TEST(RunMetricsSchemaTest, CacheCountersAppearInCounterRegistry) {
   const std::string json = SampleRunMetricsJson();
-  // Spill activity in the sample run must surface the new counters in the
-  // global registry section too (they are always-on counters).
-  for (const char* counter : {"cache.spills", "cache.reloads"}) {
+  // Evictions in the sample run, and the recomputes they force, must
+  // surface in the global registry section too (always-on counters).
+  for (const char* counter :
+       {"cache.evictions", "cache.computes", "cache.compute_nanos"}) {
     EXPECT_NE(json.find(std::string("\"") + counter + "\":"),
               std::string::npos)
         << "counter " << counter << " missing in " << json;

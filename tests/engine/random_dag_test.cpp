@@ -1,10 +1,10 @@
 // Property test: randomly composed dataflow pipelines must agree with a
 // straightforward std:: reference computation, across seeds, partition
 // counts, caching decisions, and injected task failures. Also hosts the
-// spill-tier differential soak matrix (ctest label `soak`): Monte Carlo
+// cache differential soak matrix (ctest label `soak`): Monte Carlo
 // resampling across (cache budget) x (threads) x (batch) cells must be
 // bitwise identical to the unlimited-memory reference, with and without
-// the spill tier and under injected spill corruption.
+// an injected mid-run node failure.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -146,19 +146,18 @@ TEST(RandomDagFaultSweep, ResultsUnchangedByInjectedFailures) {
   }
 }
 
-// -- Spill-tier differential soak matrix -------------------------------------
+// -- Cache differential soak matrix ------------------------------------------
 
 /// One matrix cell: Monte Carlo resampling of a small synthetic study,
 /// fingerprinted via the `resampling.result_hash` counter delta (the
 /// order-independent fold RunResampling always records). `budget` 0 is
 /// unlimited; 1 byte approximates "zero" (capacity 0 means unlimited).
+/// `fail_node` >= 0 kills that simulated node after 12 task completions.
 struct SoakCell {
   std::uint64_t budget = 0;
-  bool spill = true;
   std::size_t threads = 4;
   std::uint64_t batch = 64;
-  bool corrupt_mid_run = false;
-  bool drop_mid_run = false;
+  int fail_node = -1;
   bool pack = true;
 };
 
@@ -173,10 +172,8 @@ std::uint64_t RunSoakCell(std::uint64_t seed, const SoakCell& cell) {
   options.physical_threads = cell.threads;
   options.seed = seed;
   options.cache_capacity_bytes = cell.budget;
-  options.cache_spill = cell.spill;
   EngineContext ctx(options, nullptr, &faults);
-  if (cell.corrupt_mid_run) faults.CorruptSpillAfterTasks(12);
-  if (cell.drop_mid_run) faults.DropSpillAfterTasks(12);
+  if (cell.fail_node >= 0) faults.FailNodeAfterTasks(cell.fail_node, 12);
 
   simdata::GeneratorConfig generator;
   generator.num_patients = 40;
@@ -201,11 +198,11 @@ std::uint64_t RunSoakCell(std::uint64_t seed, const SoakCell& cell) {
 
 std::string SoakCellName(const SoakCell& cell) {
   std::string name = "budget=" + std::to_string(cell.budget) +
-                     " spill=" + std::to_string(cell.spill) +
                      " threads=" + std::to_string(cell.threads) +
                      " batch=" + std::to_string(cell.batch);
-  if (cell.corrupt_mid_run) name += " corrupt_mid_run";
-  if (cell.drop_mid_run) name += " drop_mid_run";
+  if (cell.fail_node >= 0) {
+    name += " fail_node_mid_run=" + std::to_string(cell.fail_node);
+  }
   if (!cell.pack) name += " pack=0";
   return name;
 }
@@ -231,21 +228,19 @@ TEST(SpillSoakMatrix, EveryCellBitwiseEqualsUnlimitedMemoryRun) {
     };
 
     for (std::uint64_t budget : kBudgets) {
-      for (bool spill : {true, false}) {
-        for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-          for (std::uint64_t batch : {std::uint64_t{1}, std::uint64_t{64}}) {
-            check(SoakCell{budget, spill, threads, batch, false, false});
-          }
+      for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        for (std::uint64_t batch : {std::uint64_t{1}, std::uint64_t{64}}) {
+          check(SoakCell{budget, threads, batch});
         }
       }
       // Packed-genotype ablation: the 2-bit representation must not leak
-      // into results under any budget (only cache/spill bytes change).
-      check(SoakCell{budget, true, 4, 64, false, false, /*pack=*/false});
+      // into results under any budget (only cache bytes change).
+      check(SoakCell{budget, 4, 64, -1, /*pack=*/false});
       if (budget != 0) {
-        // Sabotaged spill store mid-run: results must still match (the
-        // cache degrades corrupt frames to lineage recomputes).
-        check(SoakCell{budget, true, 4, 64, /*corrupt_mid_run=*/true, false});
-        check(SoakCell{budget, true, 4, 64, false, /*drop_mid_run=*/true});
+        // A node failure mid-run on top of the budget's evictions:
+        // results must still match (lineage recomputes what was lost).
+        check(SoakCell{budget, 4, 64, /*fail_node=*/0});
+        check(SoakCell{budget, 4, 64, /*fail_node=*/1});
       }
     }
     if (seed_failed) failing_seeds.push_back(seed);
@@ -253,23 +248,29 @@ TEST(SpillSoakMatrix, EveryCellBitwiseEqualsUnlimitedMemoryRun) {
 
   for (std::uint64_t seed : failing_seeds) {
     std::fprintf(stderr,
-                 "[spill-soak] replay failing seed with: "
+                 "[cache-soak] replay failing seed with: "
                  "--gtest_filter=SpillSoakMatrix.* (seed %llu)\n",
                  static_cast<unsigned long long>(seed));
   }
   EXPECT_TRUE(failing_seeds.empty());
 }
 
-TEST(SpillSoakMatrix, TightBudgetActuallyExercisesTheSpillTier) {
+TEST(SpillSoakMatrix, TightBudgetActuallyEvictsAndRecomputes) {
   // Guard against a miscalibrated budget making the matrix vacuous: the
-  // tight cell must spill and reload for real.
-  auto& spills = CounterRegistry::Global().Get("cache.spills");
-  auto& reloads = CounterRegistry::Global().Get("cache.reloads");
-  const std::uint64_t spills_before = spills.load();
-  const std::uint64_t reloads_before = reloads.load();
-  RunSoakCell(7, SoakCell{/*budget=*/6000, true, 4, 64, false, false});
-  EXPECT_GT(spills.load(), spills_before);
-  EXPECT_GT(reloads.load(), reloads_before);
+  // tight cell must evict for real and recompute partitions beyond the
+  // one compute per cached partition an unlimited run needs.
+  auto& evictions = CounterRegistry::Global().Get("cache.evictions");
+  auto& computes = CounterRegistry::Global().Get("cache.computes");
+  std::uint64_t computes_before = computes.load();
+  RunSoakCell(7, SoakCell{/*budget=*/0});
+  const std::uint64_t cached_partitions = computes.load() - computes_before;
+  ASSERT_GT(cached_partitions, 0u);
+
+  const std::uint64_t evictions_before = evictions.load();
+  computes_before = computes.load();
+  RunSoakCell(7, SoakCell{/*budget=*/6000});
+  EXPECT_GT(evictions.load(), evictions_before);
+  EXPECT_GT(computes.load() - computes_before, cached_partitions);
 }
 
 }  // namespace

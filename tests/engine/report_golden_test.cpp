@@ -76,16 +76,10 @@ TEST(ReportGoldenTest, FormatRunReport) {
   cache.insertions = 4;
   cache.evictions = 2;
   cache.bytes_cached = 1024;
-  cache.spills = 2;
-  cache.spill_bytes = 512;
-  cache.reloads = 1;
-  cache.bytes_spilled = 256;
   const std::string expected =
       std::string(kStageReport) +
       "cache: 3 hits / 1 misses (75.0% hit rate), 4 insertions, "
       "2 evictions, 0 dropped by failure, 1024 bytes resident\n"
-      "spill: 2 spills (512 bytes written), 1 reloads, 0 corrupt frames, "
-      "256 bytes spilled\n"
       "traffic: 2048 broadcast bytes, 4096/4096 shuffle R/W bytes\n";
   EXPECT_EQ(FormatRunReport(Fixture(), cache, 2048), expected);
 }
@@ -94,12 +88,12 @@ TEST(ReportGoldenTest, FormatProfileReport) {
   const char kExpected[] =
       "profile: wall 0.0160s, critical path 0.0150s (93.8%) across 2 stages\n"
       "== Stage phase breakdown (seconds) ==\n"
-      "+----+--------+-------+--------+--------+--------+---------+--------+---------+----------+---------+--------+--------+--------+------------+\n"
-      "| id | label  | tasks | queue  | fetch  | decode | compute | spill  | handoff | prefetch | io_wait | p50    | p95    | max    | stragglers |\n"
-      "+----+--------+-------+--------+--------+--------+---------+--------+---------+----------+---------+--------+--------+--------+------------+\n"
-      "| 1  | map    | 2     | 0.0020 | 0.0010 | 0.0000 | 0.0110  | 0.0000 | 0.0000  | 0.0000   | 0.0000  | 0.0040 | 0.0080 | 0.0080 | 0          |\n"
-      "| 2  | reduce | 2     | 0.0020 | 0.0000 | 0.0000 | 0.0080  | 0.0000 | 0.0000  | 0.0000   | 0.0000  | 0.0030 | 0.0050 | 0.0050 | 0          |\n"
-      "+----+--------+-------+--------+--------+--------+---------+--------+---------+----------+---------+--------+--------+--------+------------+\n"
+      "+----+--------+-------+--------+--------+--------+---------+---------+----------+---------+--------+--------+--------+------------+\n"
+      "| id | label  | tasks | queue  | fetch  | decode | compute | handoff | prefetch | io_wait | p50    | p95    | max    | stragglers |\n"
+      "+----+--------+-------+--------+--------+--------+---------+---------+----------+---------+--------+--------+--------+------------+\n"
+      "| 1  | map    | 2     | 0.0020 | 0.0010 | 0.0000 | 0.0110  | 0.0000  | 0.0000   | 0.0000  | 0.0040 | 0.0080 | 0.0080 | 0          |\n"
+      "| 2  | reduce | 2     | 0.0020 | 0.0000 | 0.0000 | 0.0080  | 0.0000  | 0.0000   | 0.0000  | 0.0030 | 0.0050 | 0.0050 | 0          |\n"
+      "+----+--------+-------+--------+--------+--------+---------+---------+----------+---------+--------+--------+--------+------------+\n"
       "== Critical path (stage-binding tasks) ==\n"
       "+-------+-----------+---------+-------+\n"
       "| stage | partition | seconds | share |\n"

@@ -11,7 +11,7 @@ Checks, stdlib only:
   * timestamps are non-decreasing (events are driver-sorted);
   * the metrics JSON (if given) matches schema sparkscore-run-metrics-v2,
     its per-stage histogram counts sum to the stage's task count, its
-    cache object carries the full two-tier key set (memory + spill), its
+    cache object carries the full cache key set, its
     kernel object names a known SIMD dispatch level and carries the
     genotype packing byte counters, its store object carries the
     genotype-store counter set (opens/frame I/O/prefetch/corrupt), and
@@ -31,29 +31,25 @@ import sys
 
 KNOWN_PHASES = {"B", "E", "i"}
 
-# Every event family the engine emits; see docs/OBSERVABILITY.md. `spill`
-# covers the cache's second tier (spill/reload/corrupt instants); `phase`
+# Every event family the engine emits; see docs/OBSERVABILITY.md. `phase`
 # is the timeline profiler's nested per-task phase spans (fetch/decode/
-# spill_write/handoff); `prefetch` is the async executor's I/O-lane spans
-# (cache prefetches and Monte Carlo Z-block staging).
+# handoff/...); `prefetch` is the async executor's I/O-lane spans (cache
+# prefetches and Monte Carlo Z-block staging).
 KNOWN_CATEGORIES = {
     "stage", "task", "algo", "batch", "replicate",
-    "cache", "dfs", "broadcast", "fault", "spill", "phase", "prefetch",
-    "store",
+    "cache", "dfs", "broadcast", "fault", "phase", "prefetch", "store",
 }
 
 # The timeline profiler's phase vocabulary, in TaskPhase enum order.
 TIMELINE_PHASES = (
-    "queue_wait", "fetch", "decode", "compute", "spill_write", "handoff",
-    "prefetch", "io_wait",
+    "queue_wait", "fetch", "decode", "compute", "handoff", "prefetch",
+    "io_wait",
 )
 
-# The cache section (unchanged since v1): memory-tier keys plus
-# the spill-tier extension. Consumers key on these names.
+# The cache section. Consumers key on these names.
 CACHE_KEYS = (
     "hits", "misses", "insertions", "evictions", "dropped_by_failure",
-    "bytes_cached", "spills", "spill_bytes", "reloads", "reload_nanos",
-    "spill_corrupt", "bytes_spilled",
+    "bytes_cached",
 )
 
 # The kernel section: the SIMD dispatch level in effect (numeric + name)

@@ -88,17 +88,14 @@ Study OpenStudy(const CliArgs& args, bool allow_store = true) {
   options.topology = ss::cluster::EmrCluster(nodes);
   options.seed = generator.seed;
   // Constrained-memory runs: cache_budget= caps the partition cache
-  // (bytes, 0 = unlimited; evicted partitions spill to the second tier)
-  // and spill_dir= redirects spill frames to real files.
+  // (bytes, 0 = unlimited; evicted partitions are recomputed on demand).
   options.cache_capacity_bytes = args.GetU64("cache_budget", 0);
-  options.spill_dir = args.GetStr("spill_dir", "");
   options.straggler_mad_k = args.GetDouble("straggler_mad_k", 3.0);
   // Async executor (registry group "exec"): prefetch=0 ablates the I/O
-  // lane; all three knobs are bitwise-irrelevant to the results.
+  // lane; both knobs are bitwise-irrelevant to the results.
   options.exec.prefetch_depth = static_cast<int>(args.GetU64("prefetch", 1));
   options.exec.io_threads = static_cast<int>(
       std::max<std::uint64_t>(1, args.GetU64("io_threads", 1)));
-  options.exec.spill_async = args.GetBool("spill_async", false);
   study.ctx = std::make_unique<ss::engine::EngineContext>(options,
                                                           study.dfs.get());
 
@@ -113,7 +110,7 @@ Study OpenStudy(const CliArgs& args, bool allow_store = true) {
       1, args.GetU64("batch", config.resampling_batch_size));
   config.cache_budget_bytes = args.GetU64("cache_budget", 0);
   // pack=0 ablates the 2-bit packed genotype storage (results are
-  // bitwise identical either way; only cache/spill bytes change).
+  // bitwise identical either way; only cache bytes change).
   config.pack_genotypes = args.GetU64("pack", 1) != 0;
 
   const std::string store_path = args.GetStr("store", "");

@@ -34,8 +34,8 @@ import sys
 
 # Keep in sync with TaskPhase in src/engine/task.hpp.
 PHASES = (
-    "queue_wait", "fetch", "decode", "compute", "spill_write", "handoff",
-    "prefetch", "io_wait",
+    "queue_wait", "fetch", "decode", "compute", "handoff", "prefetch",
+    "io_wait",
 )
 
 # Reconciliation tolerances between the in-process analyzer (steady
