@@ -127,9 +127,9 @@ SkatPipeline::SkatPipeline(engine::EngineContext& ctx,
           return packed;
         });
     if (config_.cache_contributions) {
-      // Permutation replicates rebuild U from genotypes every pass;
-      // caching the packed form keeps that rebuild off the parse chain
-      // at a quarter of the unpacked footprint.
+      // Permutation replicates rescore the genotypes every pass;
+      // caching the packed form keeps that pass off the parse chain at
+      // a quarter of the unpacked footprint.
       fgm_packed_.Cache();
     }
   }
@@ -332,15 +332,62 @@ Dataset<std::pair<std::uint32_t, std::vector<double>>> SkatPipeline::BuildU(
   });
 }
 
-SetScores SkatPipeline::SetScoresFromU(
-    const Dataset<std::pair<std::uint32_t, std::vector<double>>>& u) const {
-  // Step 8: U_j² = (Σ_i U_ij)².
-  auto inner_sigma = u.Map(
-      [](const std::pair<std::uint32_t, std::vector<double>>& record) {
-        double total = 0.0;
-        for (double contribution : record.second) total += contribution;
-        return std::pair<std::uint32_t, double>(record.first, total * total);
-      });
+SetScores SkatPipeline::ScoreSets(stats::Phenotype phenotype) const {
+  // Step 5 broadcasts the phenotype's score engine. Steps 6-8 run fused,
+  // one pass per genotype partition: each task allocates its buffers
+  // once, fills one SNP's contributions U_ij, sums them in ascending
+  // patient order and emits (SNP j, U_j²). Same values, same order as
+  // materializing the U RDD and summing each record, without an n-vector
+  // per SNP.
+  auto engine = engine::MakeBroadcast(
+      *ctx_, stats::ScoreEngine(std::move(phenotype),
+                                config_.paper_faithful_scores));
+  // The pass body for either genotype format: `dosages` yields a record's
+  // dosage vector, unpacking a packed record into the task's buffer.
+  const auto squared_scores = [engine](const auto& records,
+                                       const auto& dosages) {
+    std::vector<std::pair<std::uint32_t, double>> out;
+    out.reserve(records.size());
+    std::vector<std::uint8_t> buffer;
+    std::vector<double> scratch;
+    std::vector<double> contributions;
+    for (const auto& record : records) {
+      engine->ContributionsInto(dosages(record, &buffer), &scratch,
+                                &contributions);
+      double total = 0.0;
+      for (double contribution : contributions) total += contribution;
+      out.emplace_back(record.snp, total * total);
+    }
+    return out;
+  };
+  Dataset<std::pair<std::uint32_t, double>> inner_sigma;
+  if (config_.pack_genotypes) {
+    inner_sigma = fgm_packed_.MapPartitions(
+        [squared_scores](std::uint32_t,
+                         const std::vector<stats::PackedSnpRecord>& records) {
+          return squared_scores(
+              records,
+              [](const stats::PackedSnpRecord& record,
+                 std::vector<std::uint8_t>* buffer)
+                  -> const std::vector<std::uint8_t>& {
+                // Untraced, as in BuildU: coalesced decode time.
+                ss::engine::PhaseTimer decode_phase(
+                    ss::engine::TaskPhase::kDecode, /*trace=*/false);
+                record.genotypes.UnpackInto(buffer);
+                return *buffer;
+              });
+        });
+  } else {
+    inner_sigma = fgm_.MapPartitions(
+        [squared_scores](std::uint32_t, const std::vector<SnpRecord>& records) {
+          return squared_scores(
+              records,
+              [](const SnpRecord& record, std::vector<std::uint8_t>*)
+                  -> const std::vector<std::uint8_t>& {
+                return record.genotypes;
+              });
+        });
+  }
 
   // Step 9: join with squared weights. Step 10: per-SNP score.
   auto joined = engine::Join(weights_sq_, inner_sigma, config_.num_reducers);
@@ -404,8 +451,7 @@ void SkatPipeline::EnsureUBuilt() {
 
 SetScores SkatPipeline::ComputeObserved() {
   engine::TraceSpan span(engine::Tracer::Global(), "algo", "observed skat");
-  EnsureUBuilt();
-  return SetScoresFromU(u_observed_);
+  return ScoreSets(phenotype_);
 }
 
 std::unordered_map<std::uint32_t, std::vector<double>>
@@ -506,13 +552,10 @@ SkatPipeline::CollectSetGramMatrices() {
 
 SetScores SkatPipeline::ComputePermutationReplicate(
     const std::vector<std::uint32_t>& perm) {
-  // Algorithm 2: rebroadcast a permuted phenotype and rerun steps 6-12.
+  // Algorithm 2: rebroadcast a permuted phenotype and rerun steps 5-12.
   engine::TraceSpan span(engine::Tracer::Global(), "algo",
                          "permutation replicate");
-  auto engine_bcast = engine::MakeBroadcast(
-      *ctx_, stats::ScoreEngine(phenotype_.Permuted(perm),
-                                config_.paper_faithful_scores));
-  return SetScoresFromU(BuildU(engine_bcast));
+  return ScoreSets(phenotype_.Permuted(perm));
 }
 
 void SkatPipeline::UnpersistContributions() {

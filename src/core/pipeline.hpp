@@ -14,10 +14,13 @@
 //   11-12. per-set aggregation: S_k = Σ_{j∈I_k} score_j, returned as the
 //       HashMap (SNP-set -> S_k).
 //
-// Steps 8-12 run on the engine (join + ReduceByKey) only for Algorithm 2:
-// ComputeObserved and ComputePermutationReplicate, which re-executes steps
-// 6-12 per replicate with a permuted phenotype. Algorithm 3 instead caches
-// the U RDD and scores it with Monte Carlo multipliers Z in blocks
+// Algorithm 2 (ComputeObserved, and ComputePermutationReplicate, which
+// re-executes the steps per replicate with a permuted phenotype) never
+// builds the U RDD: steps 6-8 run as one fused pass over the filtered
+// genotypes that reuses per-task buffers and emits (SNP j, U_j²)
+// directly, bitwise equal to summing the U records; steps 9-12 run on
+// the engine (join + ReduceByKey). Algorithm 3 instead caches the U RDD
+// and scores it with Monte Carlo multipliers Z in blocks
 // (ComputeMonteCarloScoreBlock); its observed statistic is the case Z = 1,
 // so Monte Carlo, hybrid and SKAT-O fold observed and replicate scores
 // through one canonical driver-side fold (core/resampling_methods.hpp).
@@ -134,9 +137,10 @@ class SkatPipeline {
                stats::Phenotype phenotype, std::vector<double> weights,
                std::vector<stats::SnpSet> sets);
 
-  /// Steps 6-12 with the observed phenotype through the engine's
-  /// join/ReduceByKey fold: S_k⁰ per set, as Algorithm 2 computes it (the
-  /// permutation driver's observed pass). Materializes the U RDD.
+  /// Steps 5-12 with the observed phenotype through the fused scoring pass
+  /// and the engine's join/ReduceByKey fold: S_k⁰ per set, as Algorithm 2
+  /// computes it (the permutation driver's observed pass). Builds no U
+  /// RDD; Algorithm 3 callers use EnsureUBuilt.
   SetScores ComputeObserved();
 
   /// Algorithm 3's modified step 8 for a whole batch: per SNP, the signed
@@ -148,8 +152,8 @@ class SkatPipeline {
   /// column of n ones (Z = 1, so Ũ_j = Σ_i U_ij exactly). The per-set
   /// folds (steps 9-12) happen driver-side in the resampling driver, in
   /// the serial oracle's canonical accumulation order — see
-  /// core/resampling_methods.hpp. Requires the U RDD (EnsureUBuilt or any
-  /// observed pass first).
+  /// core/resampling_methods.hpp. Requires the U RDD (EnsureUBuilt
+  /// first).
   ///
   /// `live` restricts the block to the member SNPs of those sets (null:
   /// every set, i.e. every SNP of the U RDD). The pass broadcasts a dense
@@ -172,14 +176,15 @@ class SkatPipeline {
   /// contribute zero rows/columns and are skipped). Under the Monte Carlo
   /// null the replicate statistic is exactly Σ_m λ_m χ²₁ with λ_m the
   /// eigenvalues of this matrix — the input to the analytic tail methods
-  /// (stats/adaptive_pvalue.hpp). Materializes the U RDD like
-  /// ComputeObserved. The U vectors are collected to the driver, then the
+  /// (stats/adaptive_pvalue.hpp). Materializes the U RDD
+  /// (EnsureUBuilt). The U vectors are collected to the driver, then the
   /// Grams are computed in one engine stage ("set-gram", one task per
   /// set) with each dot product in patient order, so the matrices are
   /// bitwise independent of threads and scheduling.
   std::unordered_map<std::uint32_t, stats::Matrix> CollectSetGramMatrices();
 
-  /// Steps 6-12 from scratch under a permuted phenotype (Algorithm 2).
+  /// Steps 5-12 from scratch under a permuted phenotype (Algorithm 2),
+  /// through the same fused pass as ComputeObserved.
   SetScores ComputePermutationReplicate(const std::vector<std::uint32_t>& perm);
 
   const PipelineConfig& config() const { return config_; }
@@ -192,7 +197,7 @@ class SkatPipeline {
 
   /// Defines the observed-phenotype U RDD (steps 6-7), checkpointing and
   /// caching it as configured (Algorithm 3 steps 1-2). Idempotent; every
-  /// observed pass calls it first.
+  /// Algorithm 3 observed pass and CollectSetGramMatrices call it first.
   void EnsureUBuilt();
 
   /// Drops the cached U RDD (between bench configurations).
@@ -207,11 +212,10 @@ class SkatPipeline {
   engine::Dataset<std::pair<std::uint32_t, std::vector<double>>> BuildU(
       const engine::Broadcast<stats::ScoreEngine>& engine) const;
 
-  /// Steps 8-12 from a U dataset through the engine: aggregate to
-  /// per-set scores.
-  SetScores SetScoresFromU(
-      const engine::Dataset<std::pair<std::uint32_t, std::vector<double>>>& u)
-      const;
+  /// Steps 5-12 under `phenotype` (Algorithm 2): the fused pass emits
+  /// (SNP j, U_j²) straight from the filtered genotypes, then the engine
+  /// joins, scatters and aggregates to per-set scores.
+  SetScores ScoreSets(stats::Phenotype phenotype) const;
 
   engine::EngineContext* ctx_ = nullptr;
   PipelineConfig config_;
@@ -219,7 +223,7 @@ class SkatPipeline {
   engine::Dataset<simdata::SnpRecord> fgm_;  ///< Filtered genotype RDD (step 4).
 
   /// 2-bit packed form of fgm_ (the cached genotype format when
-  /// `pack_genotypes` is set); all U builds decode from this instead.
+  /// `pack_genotypes` is set); all scoring passes decode from this instead.
   engine::Dataset<stats::PackedSnpRecord> fgm_packed_;
   engine::Dataset<std::pair<std::uint32_t, double>> weights_sq_;  ///< Step 2.
   engine::Dataset<std::pair<std::uint32_t, double>> weights_;  ///< Unsquared ω.

@@ -5,8 +5,9 @@
 // S_k⁰ (the paper's counter_k). The empirical p-value follows directly.
 //
 //   * kPermutation — Algorithm 2: each replicate shuffles the phenotype
-//     pairs and re-executes the full pipeline (steps 6-12). Its observed
-//     pass is SkatPipeline::ComputeObserved, the same engine
+//     pairs and re-executes the full pipeline (steps 5-12, with steps 6-8
+//     fused into one pass that never builds U). Its observed pass is
+//     SkatPipeline::ComputeObserved, the same pass and engine
 //     join/ReduceByKey fold its replicates use.
 //   * kMonteCarlo — Algorithm 3: replicates reuse the cached observed
 //     U RDD with fresh N(0,1) multipliers; only steps 8-12 re-execute.

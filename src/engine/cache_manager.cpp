@@ -134,6 +134,15 @@ void CacheManager::RegisterFetcher(std::uint64_t node_id,
   fetchers_[node_id] = std::move(fetcher);
 }
 
+bool CacheManager::AnyFetcher(
+    const std::vector<std::uint64_t>& node_ids) const {
+  support::MutexLock lock(mutex_);
+  for (std::uint64_t node_id : node_ids) {
+    if (fetchers_.count(node_id) != 0) return true;
+  }
+  return false;
+}
+
 void CacheManager::UnregisterFetcher(std::uint64_t node_id) {
   support::UniqueLock lock(mutex_);
   fetchers_.erase(node_id);

@@ -103,6 +103,10 @@ class CacheManager {
   /// `store.prefetch_frames`, not cache hits/misses/insertions.
   void RegisterFetcher(std::uint64_t node_id, PartitionFetcher fetcher);
 
+  /// Whether any dataset in `node_ids` has a registered fetcher: only
+  /// then can a Prefetch along that chain do any work.
+  bool AnyFetcher(const std::vector<std::uint64_t>& node_ids) const;
+
   /// Removes the fetcher and BLOCKS until no fetch for `node_id` is in
   /// flight, so a fetcher's captures (the store handle) outlive every
   /// use. Must be called before the backing dataset dies.

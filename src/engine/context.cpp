@@ -129,7 +129,10 @@ void EngineContext::RunTasksChannel(
   const std::size_t runners =
       std::min<std::size_t>(pool_->size(), std::max<std::uint32_t>(1, num_tasks));
   const int depth = options_.exec.prefetch_depth;
-  const bool prefetching = !prefetch_chain.empty() && depth > 0;
+  // A prefetch walks the chain to the first resident partition or
+  // registered fetcher, and only a fetcher does any work: without one
+  // (an in-memory lineage) the lane is left alone.
+  const bool prefetching = depth > 0 && cache_.AnyFetcher(prefetch_chain);
 
   // The prefetch window: the first `runners` partitions are claimed
   // immediately, so seed the lane with the `depth` partitions after them,
@@ -189,7 +192,7 @@ void EngineContext::IssuePrefetch(const std::vector<std::uint64_t>& chain,
                                   std::uint32_t partition) {
   static std::atomic<std::uint64_t>& prefetches =
       CounterRegistry::Global().Get("exec.prefetches");
-  if (io_ == nullptr || chain.empty()) return;
+  if (io_ == nullptr) return;
   // Advisory: a full lane drops the request — a prefetch that cannot
   // start before its consumer would only add lock traffic. The job is
   // self-contained (keys + cache only), so it may harmlessly outlive the

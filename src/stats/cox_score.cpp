@@ -8,6 +8,17 @@ namespace ss::stats {
 std::vector<double> CoxScoreContributions(
     const SurvivalData& data, const RiskSetIndex& index,
     const std::vector<std::uint8_t>& genotypes) {
+  std::vector<double> prefix;
+  std::vector<double> contributions;
+  CoxScoreContributionsInto(data, index, genotypes, &prefix, &contributions);
+  return contributions;
+}
+
+void CoxScoreContributionsInto(const SurvivalData& data,
+                               const RiskSetIndex& index,
+                               const std::vector<std::uint8_t>& genotypes,
+                               std::vector<double>* prefix,
+                               std::vector<double>* out) {
   const std::size_t n = data.n();
   SS_CHECK(genotypes.size() == n);
   SS_CHECK(index.n() == n);
@@ -15,27 +26,40 @@ std::vector<double> CoxScoreContributions(
   // Prefix sums of genotype over the time-descending order: prefix[k] =
   // Σ_{r<k} G[order[r]]. Then a_ij = prefix[prefix_end(i)].
   const std::vector<std::uint32_t>& order = index.order();
-  std::vector<double> prefix(n + 1, 0.0);
+  prefix->resize(n + 1);
+  double* p = prefix->data();
+  p[0] = 0.0;
   for (std::size_t k = 0; k < n; ++k) {
-    prefix[k + 1] = prefix[k] + static_cast<double>(genotypes[order[k]]);
+    p[k + 1] = p[k] + static_cast<double>(genotypes[order[k]]);
   }
 
   // The per-patient scan is a routed kernel (risk_count(i) ==
   // prefix_end(i), so the kernel derives b from the prefix-end array).
-  std::vector<double> contributions(n);
-  kernels::ActiveKernels().cox_scan(data.event.data(), genotypes.data(),
-                                    prefix.data(), index.prefix_ends().data(),
-                                    n, contributions.data());
-  return contributions;
+  // Every level writes all n outputs, censored patients as 0.
+  out->resize(n);
+  kernels::ActiveKernels().cox_scan(data.event.data(), genotypes.data(), p,
+                                    index.prefix_ends().data(), n,
+                                    out->data());
 }
 
 std::vector<double> CoxScoreContributionsNaive(
     const SurvivalData& data, const std::vector<std::uint8_t>& genotypes) {
+  std::vector<double> contributions;
+  CoxScoreContributionsNaiveInto(data, genotypes, &contributions);
+  return contributions;
+}
+
+void CoxScoreContributionsNaiveInto(const SurvivalData& data,
+                                    const std::vector<std::uint8_t>& genotypes,
+                                    std::vector<double>* out) {
   const std::size_t n = data.n();
   SS_CHECK(genotypes.size() == n);
-  std::vector<double> contributions(n, 0.0);
+  out->resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    if (data.event[i] == 0) continue;
+    if (data.event[i] == 0) {
+      (*out)[i] = 0.0;  // censored patients contribute 0
+      continue;
+    }
     double a = 0.0;
     double b = 0.0;
     for (std::size_t l = 0; l < n; ++l) {
@@ -44,9 +68,8 @@ std::vector<double> CoxScoreContributionsNaive(
         b += 1.0;
       }
     }
-    contributions[i] = static_cast<double>(genotypes[i]) - a / b;
+    (*out)[i] = static_cast<double>(genotypes[i]) - a / b;
   }
-  return contributions;
 }
 
 std::vector<double> StratifiedCoxScoreContributions(

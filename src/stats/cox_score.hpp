@@ -27,10 +27,24 @@ std::vector<double> CoxScoreContributions(const SurvivalData& data,
                                           const RiskSetIndex& index,
                                           const std::vector<std::uint8_t>& genotypes);
 
+/// Buffer form of CoxScoreContributions: the same values, written to
+/// `out` (resized to n) with `prefix` as scratch (resized to n + 1), so a
+/// caller scoring many SNPs allocates both once.
+void CoxScoreContributionsInto(const SurvivalData& data,
+                               const RiskSetIndex& index,
+                               const std::vector<std::uint8_t>& genotypes,
+                               std::vector<double>* prefix,
+                               std::vector<double>* out);
+
 /// Same values computed directly from the definition in O(n^2); reference
 /// implementation for tests and the risk-set ablation bench.
 std::vector<double> CoxScoreContributionsNaive(
     const SurvivalData& data, const std::vector<std::uint8_t>& genotypes);
+
+/// Buffer form of CoxScoreContributionsNaive (`out` resized to n).
+void CoxScoreContributionsNaiveInto(const SurvivalData& data,
+                                    const std::vector<std::uint8_t>& genotypes,
+                                    std::vector<double>* out);
 
 /// Stratified Cox score: patients are divided into strata (e.g. by study
 /// site, sex, or a discretized baseline covariate) and risk sets are

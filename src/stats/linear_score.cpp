@@ -14,13 +14,19 @@ double QuantitativeData::Mean() const {
 std::vector<double> LinearScoreContributions(
     const QuantitativeData& data, double mean,
     const std::vector<std::uint8_t>& genotypes) {
-  SS_CHECK(genotypes.size() == data.n());
-  std::vector<double> contributions(data.n());
-  for (std::size_t i = 0; i < data.n(); ++i) {
-    contributions[i] =
-        static_cast<double>(genotypes[i]) * (data.value[i] - mean);
-  }
+  std::vector<double> contributions;
+  LinearScoreContributionsInto(data, mean, genotypes, &contributions);
   return contributions;
+}
+
+void LinearScoreContributionsInto(const QuantitativeData& data, double mean,
+                                  const std::vector<std::uint8_t>& genotypes,
+                                  std::vector<double>* out) {
+  SS_CHECK(genotypes.size() == data.n());
+  out->resize(data.n());
+  for (std::size_t i = 0; i < data.n(); ++i) {
+    (*out)[i] = static_cast<double>(genotypes[i]) * (data.value[i] - mean);
+  }
 }
 
 }  // namespace ss::stats

@@ -29,4 +29,9 @@ std::vector<double> LinearScoreContributions(
     const QuantitativeData& data, double mean,
     const std::vector<std::uint8_t>& genotypes);
 
+/// Buffer form of LinearScoreContributions (`out` resized to n).
+void LinearScoreContributionsInto(const QuantitativeData& data, double mean,
+                                  const std::vector<std::uint8_t>& genotypes,
+                                  std::vector<double>* out);
+
 }  // namespace ss::stats

@@ -14,13 +14,20 @@ double BinaryData::CaseRate() const {
 std::vector<double> LogisticScoreContributions(
     const BinaryData& data, double case_rate,
     const std::vector<std::uint8_t>& genotypes) {
-  SS_CHECK(genotypes.size() == data.n());
-  std::vector<double> contributions(data.n());
-  for (std::size_t i = 0; i < data.n(); ++i) {
-    contributions[i] = static_cast<double>(genotypes[i]) *
-                       (static_cast<double>(data.value[i]) - case_rate);
-  }
+  std::vector<double> contributions;
+  LogisticScoreContributionsInto(data, case_rate, genotypes, &contributions);
   return contributions;
+}
+
+void LogisticScoreContributionsInto(const BinaryData& data, double case_rate,
+                                    const std::vector<std::uint8_t>& genotypes,
+                                    std::vector<double>* out) {
+  SS_CHECK(genotypes.size() == data.n());
+  out->resize(data.n());
+  for (std::size_t i = 0; i < data.n(); ++i) {
+    (*out)[i] = static_cast<double>(genotypes[i]) *
+                (static_cast<double>(data.value[i]) - case_rate);
+  }
 }
 
 }  // namespace ss::stats

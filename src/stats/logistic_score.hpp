@@ -25,4 +25,9 @@ std::vector<double> LogisticScoreContributions(
     const BinaryData& data, double case_rate,
     const std::vector<std::uint8_t>& genotypes);
 
+/// Buffer form of LogisticScoreContributions (`out` resized to n).
+void LogisticScoreContributionsInto(const BinaryData& data, double case_rate,
+                                    const std::vector<std::uint8_t>& genotypes,
+                                    std::vector<double>* out);
+
 }  // namespace ss::stats

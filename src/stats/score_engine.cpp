@@ -87,20 +87,33 @@ ScoreEngine::ScoreEngine(Phenotype phenotype, bool paper_faithful)
 
 std::vector<double> ScoreEngine::Contributions(
     const std::vector<std::uint8_t>& genotypes) const {
+  std::vector<double> scratch;
+  std::vector<double> contributions;
+  ContributionsInto(genotypes, &scratch, &contributions);
+  return contributions;
+}
+
+void ScoreEngine::ContributionsInto(const std::vector<std::uint8_t>& genotypes,
+                                    std::vector<double>* scratch,
+                                    std::vector<double>* out) const {
   switch (phenotype_.model) {
     case ScoreModel::kCox:
       if (paper_faithful_) {
-        return CoxScoreContributionsNaive(phenotype_.survival, genotypes);
+        CoxScoreContributionsNaiveInto(phenotype_.survival, genotypes, out);
+      } else {
+        CoxScoreContributionsInto(phenotype_.survival, *risk_index_,
+                                  genotypes, scratch, out);
       }
-      return CoxScoreContributions(phenotype_.survival, *risk_index_,
-                                   genotypes);
+      return;
     case ScoreModel::kGaussian:
-      return LinearScoreContributions(phenotype_.quantitative, center_,
-                                      genotypes);
+      LinearScoreContributionsInto(phenotype_.quantitative, center_,
+                                   genotypes, out);
+      return;
     case ScoreModel::kBinomial:
-      return LogisticScoreContributions(phenotype_.binary, center_, genotypes);
+      LogisticScoreContributionsInto(phenotype_.binary, center_, genotypes,
+                                     out);
+      return;
   }
-  return {};
 }
 
 }  // namespace ss::stats

@@ -65,6 +65,13 @@ class ScoreEngine {
   std::vector<double> Contributions(
       const std::vector<std::uint8_t>& genotypes) const;
 
+  /// Buffer form of Contributions: the same values written to `out`
+  /// (resized to n), with `scratch` as the models' working storage. A
+  /// task scoring many SNPs reuses both and allocates nothing per SNP.
+  void ContributionsInto(const std::vector<std::uint8_t>& genotypes,
+                         std::vector<double>* scratch,
+                         std::vector<double>* out) const;
+
  private:
   Phenotype phenotype_;
   bool paper_faithful_ = false;

@@ -66,7 +66,7 @@ TEST(PipelineCheckpointTest, CheckpointSurvivesCacheAndNodeLoss) {
   engine::EngineContext ctx(LocalOptions(), &env.dfs, &faults);
   auto pipeline = SkatPipeline::Open(ctx, env.paths, config);
   ASSERT_TRUE(pipeline.ok());
-  pipeline.value().ComputeObserved();
+  pipeline.value().EnsureUBuilt();  // defines + checkpoints U
   const std::vector<double> zblock =
       stats::MonteCarloZBlock(config.seed, pipeline.value().n(), 0, 1);
   const auto before = pipeline.value().ComputeMonteCarloScoreBlock(zblock, 1);

@@ -198,11 +198,13 @@ TEST(SkatPipelineTest, CachingConfigControlsCacheUse) {
     PipelineConfig config;
     config.cache_contributions = true;
     SkatPipeline pipeline = SkatPipeline::FromMemory(ctx, dataset, config);
+    pipeline.EnsureUBuilt();  // ComputeObserved scores without U
     pipeline.ComputeObserved();
     EXPECT_GT(ctx.cache().stats().insertions, 0u);
     const auto before = ctx.cache().stats().hits;
     ReplicateBlock(pipeline, config.seed, 0);
-    EXPECT_GT(ctx.cache().stats().hits, before);  // replicate reused U
+    // The replicate reused the partitions the observed pass cached.
+    EXPECT_GT(ctx.cache().stats().hits, before);
   }
   {
     engine::EngineContext ctx(LocalOptions());

@@ -286,5 +286,35 @@ TEST(StorePipelineTest, PrefetchLaneFetchesFramesViaRegisteredFetcher) {
   EXPECT_EQ(ctx.cache().Lookup(other), nullptr);
 }
 
+TEST(StorePipelineTest, PermutationCachesOnlyThePackedGenotypes) {
+  // Algorithm 2 scores each replicate straight from the genotypes, so a
+  // store-backed permutation run leaves the decoded genotype partitions
+  // as the only cache entries: no U partition (n doubles per SNP) is
+  // ever admitted. The resident bytes are the store's packed frame bytes
+  // plus at most one fixed-size record header per SNP (a decoded record
+  // carries its payload in a vector the frame does not have).
+  const std::string path = StageStore("ss_store_permutation_cache.ssg", 4);
+  auto store = dfs::GenotypeStore::Open(path);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  std::uint64_t frame_bytes = 0;
+  std::uint64_t records = 0;
+  for (std::uint32_t p = 0; p < store.value()->num_partitions(); ++p) {
+    auto frame = store.value()->ReadGenotypeFrame(p);
+    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+    frame_bytes += frame.value().size();
+    auto decoded = simdata::DecodeGenotypePartition(frame.value());
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    records += decoded.value().size();
+  }
+
+  engine::EngineContext ctx(LocalOptions());
+  auto opened = SkatPipeline::OpenFromStore(ctx, path, StudyPipelineConfig());
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  RunResampling(opened.value(), {ResamplingMethod::kPermutation, 6});
+  EXPECT_EQ(ctx.cache().entry_count(), store.value()->num_partitions());
+  EXPECT_LE(ctx.cache().stats().bytes_cached,
+            frame_bytes + records * sizeof(stats::PackedSnpRecord));
+}
+
 }  // namespace
 }  // namespace ss::core

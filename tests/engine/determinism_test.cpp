@@ -4,6 +4,7 @@
 // between a 1-thread and an N-thread run from the same seed — the
 // property the resampling literature this repo reproduces silently
 // assumes, and the one a data race would corrupt first.
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <map>
@@ -114,6 +115,45 @@ TEST(DeterminismTest, PermutationReplicatesIdentical1v4Threads) {
   const simdata::SyntheticDataset dataset = FixedDataset();
   ExpectByteIdentical(RunPermutation(1, 10, dataset),
                       RunPermutation(4, 10, dataset));
+}
+
+/// `resampling.result_hash` of a 10-replicate permutation run (Algorithm
+/// 2) on FixedDataset(), pinned from the route that built each
+/// replicate's U RDD and then summed every record. The fused scoring pass
+/// must reproduce it bit for bit.
+constexpr std::uint64_t kPermutationResultHash = 0x82c67a2a27eb9b4dULL;
+
+std::uint64_t PermutationResultHash(std::size_t threads, bool pack,
+                                    std::uint64_t budget,
+                                    const simdata::SyntheticDataset& dataset) {
+  engine::EngineContext ctx(OptionsWithThreads(threads));
+  PipelineConfig config;
+  config.seed = kSeed;
+  config.pack_genotypes = pack;
+  config.cache_budget_bytes = budget;
+  SkatPipeline pipeline = SkatPipeline::FromMemory(ctx, dataset, config);
+  std::atomic<std::uint64_t>& hash =
+      engine::CounterRegistry::Global().Get("resampling.result_hash");
+  const std::uint64_t before = hash.load();
+  RunResampling(pipeline, {ResamplingMethod::kPermutation, 10});
+  return hash.load() - before;
+}
+
+TEST(DeterminismTest, PermutationResultHashPinnedAcrossThreadsPackingBudget) {
+  // threads {1,4} x packed genotypes {off,on} x budget {unlimited, tight
+  // enough to evict}: every cell reproduces the pinned hash.
+  const simdata::SyntheticDataset dataset = FixedDataset();
+  for (std::size_t threads : {1u, 4u}) {
+    for (bool pack : {false, true}) {
+      for (std::uint64_t budget : {0u, 1024u}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads) +
+                     " pack=" + std::to_string(pack) +
+                     " budget=" + std::to_string(budget));
+        EXPECT_EQ(PermutationResultHash(threads, pack, budget, dataset),
+                  kPermutationResultHash);
+      }
+    }
+  }
 }
 
 TEST(DeterminismTest, ThreadCountDoesNotLeakIntoPValues) {

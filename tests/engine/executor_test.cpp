@@ -145,6 +145,22 @@ TEST(ExecutorDeterminismTest, ZBlockDoubleBufferRunsOnTheLane) {
   EXPECT_EQ(RunAndHash(ablated, dataset), overlapped);
 }
 
+TEST(ExecutorDeterminismTest, InMemoryLineageIssuesNoPrefetches) {
+  // Only a registered store fetcher gives a prefetch anything to do; an
+  // in-memory pipeline under a budget that forces evictions has none, so
+  // its stages leave the lane to the Z-block staging.
+  const simdata::SyntheticDataset dataset = FixedDataset();
+  RunConfig run;
+  run.exec.prefetch_depth = 2;
+  run.batch = 4;
+  run.cache_budget = 4096;
+  RunAndHash(run, dataset);
+  EXPECT_GT(Counter("exec.channel_stages"), 0u);
+  EXPECT_GT(Counter("cache.evictions"), 0u);
+  EXPECT_EQ(Counter("exec.prefetches"), 0u);
+  EXPECT_GT(Counter("exec.zblock_prefetches"), 0u);
+}
+
 TEST(ExecutorShutdownTest, DestructorRunsEveryAcceptedJob) {
   std::atomic<int> ran{0};
   {

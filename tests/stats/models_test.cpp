@@ -2,7 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <numeric>
+#include <vector>
 
 #include "stats/cox_score.hpp"
 #include "stats/linear_score.hpp"
@@ -142,6 +145,107 @@ TEST(ScoreEngineTest, MoveOnlyButBroadcastable) {
   ScoreEngine engine(Phenotype::Cox(data));
   ScoreEngine moved = std::move(engine);
   EXPECT_EQ(moved.n(), 2u);
+}
+
+// ScoreEngine::ContributionsInto is the buffer form the fused Algorithm 2
+// pass scores with; it must reproduce Contributions bit for bit, and so
+// must the ascending sum U_j = Σ_i U_ij that pass takes of it, even when
+// the caller's buffers are dirty and sized for another SNP.
+
+bool BitEqual(double a, double b) {
+  std::uint64_t ua = 0;
+  std::uint64_t ub = 0;
+  std::memcpy(&ua, &a, sizeof(a));
+  std::memcpy(&ub, &b, sizeof(b));
+  return ua == ub;
+}
+
+/// 12 SNPs over n patients: random Binomial(2, p) rows at several allele
+/// frequencies plus an all-0 and an all-2 row.
+std::vector<std::vector<std::uint8_t>> TestSnps(std::size_t n,
+                                                std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::vector<std::uint8_t>> snps;
+  snps.emplace_back(n, 0);
+  snps.emplace_back(n, 2);
+  for (int j = 0; j < 10; ++j) {
+    std::vector<std::uint8_t> g(n);
+    for (std::uint8_t& dosage : g) {
+      dosage = static_cast<std::uint8_t>(SampleBinomial(rng, 2, 0.05 + 0.09 * j));
+    }
+    snps.push_back(std::move(g));
+  }
+  return snps;
+}
+
+void ExpectBufferFormBitwise(const ScoreEngine& engine, std::uint64_t seed) {
+  // One pair of buffers for every SNP, as a task uses them; both start
+  // oversized and full of garbage.
+  std::vector<double> scratch(3 * engine.n() + 7, -1.5);
+  std::vector<double> out(2 * engine.n() + 5, 42.0);
+  for (const std::vector<std::uint8_t>& g : TestSnps(engine.n(), seed)) {
+    const std::vector<double> expected = engine.Contributions(g);
+    engine.ContributionsInto(g, &scratch, &out);
+    ASSERT_EQ(out.size(), expected.size());
+    double expected_sum = 0.0;
+    double out_sum = 0.0;
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_TRUE(BitEqual(out[i], expected[i])) << "patient " << i;
+      expected_sum += expected[i];
+      out_sum += out[i];
+    }
+    EXPECT_TRUE(BitEqual(out_sum, expected_sum));
+  }
+}
+
+/// Survival data on integer times 1..6, so most patients share a time.
+SurvivalData TiedSurvival(std::size_t n, double event_rate,
+                          std::uint64_t seed) {
+  Rng rng(seed);
+  SurvivalData data;
+  for (std::size_t i = 0; i < n; ++i) {
+    data.time.push_back(
+        static_cast<double>(1 + SampleBinomial(rng, 5, 0.4)));
+    data.event.push_back(SampleBernoulli(rng, event_rate) ? 1 : 0);
+  }
+  return data;
+}
+
+TEST(ContributionsIntoTest, CoxRiskSetWithTiedTimes) {
+  ExpectBufferFormBitwise(ScoreEngine(Phenotype::Cox(TiedSurvival(97, 0.7, 3))),
+                          11);
+}
+
+TEST(ContributionsIntoTest, CoxPaperFaithfulWithTiedTimes) {
+  ExpectBufferFormBitwise(
+      ScoreEngine(Phenotype::Cox(TiedSurvival(97, 0.7, 3)),
+                  /*paper_faithful=*/true),
+      11);
+}
+
+TEST(ContributionsIntoTest, CoxAllCensored) {
+  for (bool paper_faithful : {false, true}) {
+    SCOPED_TRACE(paper_faithful ? "paper-faithful" : "risk-set");
+    ExpectBufferFormBitwise(
+        ScoreEngine(Phenotype::Cox(TiedSurvival(41, 0.0, 5)), paper_faithful),
+        13);
+  }
+}
+
+TEST(ContributionsIntoTest, Gaussian) {
+  Rng rng(17);
+  QuantitativeData data;
+  for (int i = 0; i < 83; ++i) data.value.push_back(SampleNormal(rng) * 3.0);
+  ExpectBufferFormBitwise(ScoreEngine(Phenotype::Gaussian(data)), 19);
+}
+
+TEST(ContributionsIntoTest, Binomial) {
+  Rng rng(23);
+  BinaryData data;
+  for (int i = 0; i < 83; ++i) {
+    data.value.push_back(SampleBernoulli(rng, 0.3) ? 1 : 0);
+  }
+  ExpectBufferFormBitwise(ScoreEngine(Phenotype::Binomial(data)), 29);
 }
 
 }  // namespace
