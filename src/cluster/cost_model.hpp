@@ -35,13 +35,6 @@ struct CostModel {
   /// Job submission/result collection constant.
   double job_overhead_s = 0.300;
 
-  /// Straggler model: with probability `straggler_probability` a task runs
-  /// `straggler_slowdown`x slower than measured (GC pause, noisy
-  /// neighbour, degraded disk — the phenomena Spark's speculative
-  /// execution exists for). 0 disables stragglers.
-  double straggler_probability = 0.0;
-  double straggler_slowdown = 8.0;
-
   /// Cost to move `bytes` across the network once, including ser/deser.
   double TransferSeconds(std::uint64_t bytes) const {
     return static_cast<double>(bytes) / network_bandwidth_bytes_per_s +

@@ -3,12 +3,9 @@
 #include <algorithm>
 #include <queue>
 
-#include "support/rng.hpp"
-
 namespace ss::cluster {
 
-double VirtualScheduler::SimulateStage(const StageProfile& stage,
-                                       std::uint64_t stage_salt) const {
+double VirtualScheduler::SimulateStage(const StageProfile& stage) const {
   const int slots = std::max(1, topology_.TotalSlots());
   // Min-heap of slot free times.
   std::priority_queue<double, std::vector<double>, std::greater<>> free_at;
@@ -27,38 +24,12 @@ double VirtualScheduler::SimulateStage(const StageProfile& stage,
           : cost_model_.TransferSeconds(stage.shuffle_write_bytes) /
                 static_cast<double>(stage.task_compute_s.size());
 
-  Rng straggler_rng = Rng(seed_).Split(stage_salt + 1);
   double makespan = 0.0;
   for (double compute : stage.task_compute_s) {
     const double start = free_at.top();
     free_at.pop();
-    const double nominal = cost_model_.task_launch_overhead_s + compute +
-                           per_task_shuffle_read + per_task_shuffle_write;
-    double duration = nominal;
-    const bool straggles =
-        cost_model_.straggler_probability > 0.0 &&
-        straggler_rng.NextDouble() < cost_model_.straggler_probability;
-    if (straggles) {
-      duration = nominal * cost_model_.straggler_slowdown;
-      if (speculation_) {
-        // Spark flags the attempt once it runs well past the typical task
-        // duration; we model the speculative copy starting when the
-        // original would have finished unslowed, on the then-next free
-        // slot, and the attempt finishing first winning. The backup is
-        // assumed not to straggle (fresh executor).
-        const double flag_time = start + nominal;
-        const double backup_start = std::max(flag_time, free_at.top());
-        const double backup_end = backup_start + nominal;
-        duration = std::min(start + duration, backup_end) - start;
-        // The backup occupied the next-free slot until the race resolved.
-        if (backup_end <= start + nominal * cost_model_.straggler_slowdown) {
-          const double occupied_until = backup_end;
-          const double next_free = free_at.top();
-          free_at.pop();
-          free_at.push(std::max(next_free, occupied_until));
-        }
-      }
-    }
+    const double duration = cost_model_.task_launch_overhead_s + compute +
+                            per_task_shuffle_read + per_task_shuffle_write;
     const double end = start + duration;
     free_at.push(end);
     makespan = std::max(makespan, end);
@@ -70,9 +41,8 @@ MakespanReport VirtualScheduler::Simulate(const JobProfile& job) const {
   MakespanReport report;
   report.slots = topology_.TotalSlots();
   report.total_s = cost_model_.job_overhead_s;
-  std::uint64_t stage_salt = 0;
   for (const StageProfile& stage : job.stages) {
-    const double stage_time = SimulateStage(stage, stage_salt++);
+    const double stage_time = SimulateStage(stage);
     report.stage_s.push_back(stage_time);
     report.total_s += stage_time;
     for (double compute : stage.task_compute_s) report.compute_s += compute;

@@ -40,24 +40,13 @@ struct MakespanReport {
 
 class VirtualScheduler {
  public:
-  /// `speculation` mirrors spark.speculation: when a task is flagged as a
-  /// straggler (per CostModel's straggler model), a speculative copy is
-  /// launched on the next free slot at the time the original would have
-  /// finished unslowed; the stage takes whichever attempt finishes first.
-  /// `seed` drives the deterministic straggler draws.
-  VirtualScheduler(ClusterTopology topology, CostModel cost_model,
-                   bool speculation = false, std::uint64_t seed = 99)
-      : topology_(std::move(topology)),
-        cost_model_(cost_model),
-        speculation_(speculation),
-        seed_(seed) {}
+  VirtualScheduler(ClusterTopology topology, CostModel cost_model)
+      : topology_(std::move(topology)), cost_model_(cost_model) {}
 
   /// Simulates one stage on `slots` slots; returns its makespan (seconds).
   /// Greedy earliest-available-slot assignment in task order — exactly what
   /// Spark's task scheduler does within a stage with FIFO pools.
-  /// `stage_salt` decorrelates straggler draws across stages.
-  double SimulateStage(const StageProfile& stage,
-                       std::uint64_t stage_salt = 0) const;
+  double SimulateStage(const StageProfile& stage) const;
 
   /// Simulates a whole job: sum of stage makespans + job overhead.
   MakespanReport Simulate(const JobProfile& job) const;
@@ -68,8 +57,6 @@ class VirtualScheduler {
  private:
   ClusterTopology topology_;
   CostModel cost_model_;
-  bool speculation_ = false;
-  std::uint64_t seed_ = 99;
 };
 
 }  // namespace ss::cluster

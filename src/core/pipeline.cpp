@@ -6,7 +6,7 @@
 #include "core/record_traits.hpp"  // IWYU pragma: keep (ApproxBytesImpl specializations)
 #include "core/store_source.hpp"
 #include "dfs/genotype_store.hpp"
-#include "engine/dataset_ops.hpp"
+#include "engine/dataset.hpp"
 #include "simdata/store_codec.hpp"
 #include "engine/profile.hpp"
 #include "engine/trace.hpp"
@@ -143,8 +143,9 @@ SkatPipeline::SkatPipeline(engine::EngineContext& ctx,
     weight_sq_pairs.push_back({j, weights[j] * weights[j]});
     weight_pairs.push_back({j, weights[j]});
   }
-  weights_sq_ =
-      engine::Parallelize(ctx, weight_sq_pairs, config_.num_partitions);
+  weights_sq_ = engine::PartitionByKey(
+      engine::Parallelize(ctx, weight_sq_pairs, config_.num_partitions),
+      config_.num_reducers);
   weights_ = engine::Parallelize(ctx, weight_pairs, config_.num_partitions);
 
   snp_to_sets_ = engine::MakeBroadcast(ctx, BuildSnpToSets(sets_));
@@ -190,7 +191,9 @@ Result<SkatPipeline> SkatPipeline::Open(engine::EngineContext& ctx,
 
   SkatPipeline pipeline(ctx, config, genotypes, std::move(phenotype).value(),
                         /*weights=*/{}, sets);
-  pipeline.weights_sq_ = weights_sq;  // replace the (empty) in-memory weights
+  // Replace the (empty) in-memory weights.
+  pipeline.weights_sq_ =
+      engine::PartitionByKey(weights_sq, pipeline.config_.num_reducers);
   pipeline.weights_ = weights_unsquared;
   // The staged file's model is authoritative.
   pipeline.config_.model = pipeline.phenotype_.model;
@@ -283,8 +286,10 @@ Result<SkatPipeline> SkatPipeline::OpenFromStore(
   pipeline.fgm_packed_ =
       engine::Dataset<stats::PackedSnpRecord>(&ctx, std::move(node));
 
-  pipeline.weights_sq_ = engine::Parallelize(ctx, weight_sq_pairs,
-                                             pipeline.config_.num_partitions);
+  pipeline.weights_sq_ = engine::PartitionByKey(
+      engine::Parallelize(ctx, weight_sq_pairs,
+                          pipeline.config_.num_partitions),
+      pipeline.config_.num_reducers);
   pipeline.weights_ =
       engine::Parallelize(ctx, weight_pairs, pipeline.config_.num_partitions);
   pipeline.snp_to_sets_ =
@@ -389,7 +394,9 @@ SetScores SkatPipeline::ScoreSets(stats::Phenotype phenotype) const {
         });
   }
 
-  // Step 9: join with squared weights. Step 10: per-SNP score.
+  // Step 9: join with squared weights, which are stored already
+  // partitioned, so only inner_sigma is shuffled here. Step 10: per-SNP
+  // score.
   auto joined = engine::Join(weights_sq_, inner_sigma, config_.num_reducers);
   auto snp_scores =
       joined.Map([](const std::pair<std::uint32_t, std::pair<double, double>>&

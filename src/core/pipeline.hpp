@@ -225,7 +225,9 @@ class SkatPipeline {
   /// 2-bit packed form of fgm_ (the cached genotype format when
   /// `pack_genotypes` is set); all scoring passes decode from this instead.
   engine::Dataset<stats::PackedSnpRecord> fgm_packed_;
-  engine::Dataset<std::pair<std::uint32_t, double>> weights_sq_;  ///< Step 2.
+  /// Step 2, hash-partitioned to `num_reducers` once: every step-9 join
+  /// reuses its shuffle instead of re-reading and re-shuffling the weights.
+  engine::Dataset<std::pair<std::uint32_t, double>> weights_sq_;
   engine::Dataset<std::pair<std::uint32_t, double>> weights_;  ///< Unsquared ω.
   stats::Phenotype phenotype_;
   std::vector<stats::SnpSet> sets_;

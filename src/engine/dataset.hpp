@@ -1,12 +1,13 @@
 // The public dataflow API of minispark: `Dataset<T>` (an RDD), its
-// transformations and actions, and the shuffle-backed pair operations.
+// transformations and actions, the shuffle-backed pair operations, and
+// DFS checkpointing with lineage truncation.
 //
-// Narrow transformations (Map, Filter, FlatMap, MapPartitions, Union,
-// Sample) are pipelined: computing a partition walks the lineage chain in
-// one call stack, so a chain of maps costs one pass. Wide operations
-// (ReduceByKey, GroupByKey, Join) insert a ShuffleNode, whose map stage is
-// materialized by the driver before the downstream stage runs — the stage
-// boundary Spark's DAG scheduler would create.
+// Narrow transformations (Map, Filter, FlatMap, MapPartitions) are
+// pipelined: computing a partition walks the lineage chain in one call
+// stack, so a chain of maps costs one pass. Wide operations (ReduceByKey,
+// Join) insert a ShuffleNode, whose map stage is materialized by the
+// driver before the downstream stage runs — the stage boundary Spark's
+// DAG scheduler would create.
 //
 // All closures must be free of side effects on shared state (use
 // Accumulator for counters); they may run concurrently and, after a
@@ -24,10 +25,10 @@
 
 #include "dfs/dfs.hpp"
 #include "engine/broadcast.hpp"
+#include "engine/codec.hpp"
 #include "engine/context.hpp"
 #include "engine/node.hpp"
 #include "engine/partitioner.hpp"
-#include "support/distributions.hpp"
 #include "support/ranked_mutex.hpp"
 #include "support/status.hpp"
 
@@ -172,62 +173,7 @@ class FlatMapNode final : public Node<U> {
   F fn_;
 };
 
-/// Concatenation of two datasets; partitions of `left` precede `right`'s.
-template <typename T>
-class UnionNode final : public Node<T> {
- public:
-  UnionNode(EngineContext* ctx, std::shared_ptr<Node<T>> left,
-            std::shared_ptr<Node<T>> right)
-      : Node<T>(ctx, "union",
-                left->num_partitions() + right->num_partitions(),
-                {left, right}),
-        left_(std::move(left)),
-        right_(std::move(right)) {}
-
-  std::vector<T> ComputePartition(std::uint32_t index,
-                                  TaskContext& task) override {
-    if (index < left_->num_partitions()) return *left_->Get(index, task);
-    return *right_->Get(index - left_->num_partitions(), task);
-  }
-
- private:
-  std::shared_ptr<Node<T>> left_;
-  std::shared_ptr<Node<T>> right_;
-};
-
-/// Bernoulli sampling with deterministic per-partition randomness.
-template <typename T>
-class SampleNode final : public Node<T> {
- public:
-  SampleNode(EngineContext* ctx, std::shared_ptr<Node<T>> parent,
-             double fraction, std::uint64_t salt)
-      : Node<T>(ctx, "sample", parent->num_partitions(), {parent}),
-        parent_(std::move(parent)),
-        fraction_(fraction),
-        salt_(salt) {}
-
-  std::vector<T> ComputePartition(std::uint32_t index,
-                                  TaskContext& task) override {
-    auto input = parent_->Get(index, task);
-    // Deterministic in (context seed, salt, partition) only — NOT the
-    // node or stage id — so the same Sample(fraction, salt) expression
-    // selects the same subset across datasets, actions, and retries
-    // (Spark's sample-with-seed semantics).
-    Rng rng = Rng(this->ctx_->seed()).Split(salt_ * 2654435761u + 1).Split(index + 1);
-    std::vector<T> out;
-    for (const T& item : *input) {
-      if (SampleBernoulli(rng, fraction_)) out.push_back(item);
-    }
-    return out;
-  }
-
- private:
-  std::shared_ptr<Node<T>> parent_;
-  double fraction_;
-  std::uint64_t salt_;
-};
-
-/// Repartitioning of pairs by key hash — the wide dependency. The map
+/// Hash partitioning of pairs by key — the wide dependency. The map
 /// stage (run by the driver via EnsureReadySelf) computes every parent
 /// partition and scatters records into reduce buckets; reduce-side
 /// ComputePartition just hands back its bucket. Buckets are retained for
@@ -237,19 +183,11 @@ template <typename K, typename V>
 class ShuffleNode final : public Node<std::pair<K, V>> {
  public:
   using Pair = std::pair<K, V>;
-  /// Maps (key, num_partitions) -> reduce partition. Hash by default;
-  /// SortBy installs a range partitioner.
-  using PartitionFn = std::function<std::uint32_t(const K&, std::uint32_t)>;
 
   ShuffleNode(EngineContext* ctx, std::shared_ptr<Node<Pair>> parent,
-              std::uint32_t num_partitions, PartitionFn partition_fn = {})
+              std::uint32_t num_partitions)
       : Node<Pair>(ctx, "shuffle", num_partitions, {parent}),
-        parent_(std::move(parent)),
-        partition_fn_(partition_fn
-                          ? std::move(partition_fn)
-                          : [](const K& key, std::uint32_t n) {
-                              return PartitionOf(key, n);
-                            }) {}
+        parent_(std::move(parent)) {}
 
   std::vector<Pair> ComputePartition(std::uint32_t index,
                                      TaskContext& task) override {
@@ -283,9 +221,7 @@ class ShuffleNode final : public Node<std::pair<K, V>> {
           auto input = parent_->Get(task.partition(), task);
           std::vector<std::vector<Pair>> local(reducers);
           for (const Pair& record : *input) {
-            const std::uint32_t bucket = partition_fn_(record.first, reducers);
-            SS_CHECK(bucket < reducers);
-            local[bucket].push_back(record);
+            local[PartitionOf(record.first, reducers)].push_back(record);
           }
           std::uint64_t bytes = 0;
           for (const auto& bucket : local) {
@@ -313,7 +249,6 @@ class ShuffleNode final : public Node<std::pair<K, V>> {
 
  private:
   std::shared_ptr<Node<Pair>> parent_;
-  PartitionFn partition_fn_;
   support::RankedMutex buckets_mutex_{support::lock_rank::kShuffleBuckets};
   std::vector<std::vector<Pair>> buckets_ SS_GUARDED_BY(buckets_mutex_);
 };
@@ -355,6 +290,31 @@ class JoinNode final : public Node<std::pair<K, std::pair<A, B>>> {
  private:
   std::shared_ptr<Node<std::pair<K, A>>> left_;
   std::shared_ptr<Node<std::pair<K, B>>> right_;
+};
+
+/// Reads a checkpoint written by Checkpoint(): a source node with no
+/// parents (lineage truncated), one partition per DFS block.
+template <typename T>
+class CheckpointNode final : public Node<T> {
+ public:
+  CheckpointNode(EngineContext* ctx, std::string path,
+                 std::uint32_t num_partitions)
+      : Node<T>(ctx, "checkpoint(" + path + ")", num_partitions, {}),
+        path_(std::move(path)) {}
+
+  std::vector<T> ComputePartition(std::uint32_t index,
+                                  TaskContext&) override {
+    SS_CHECK(this->ctx_->dfs() != nullptr);
+    Result<std::vector<std::uint8_t>> bytes =
+        this->ctx_->dfs()->ReadBinaryBlock(path_, index);
+    if (!bytes.ok()) {
+      throw TaskFailure("checkpoint read failed: " + bytes.status().ToString());
+    }
+    return DecodePartition<T>(bytes.value());
+  }
+
+ private:
+  std::string path_;
 };
 
 }  // namespace nodes
@@ -408,26 +368,6 @@ class Dataset {
                                 ctx_, node_, std::move(fn)));
   }
 
-  /// Pairs each element with fn(x) as key.
-  template <typename F, typename K = std::invoke_result_t<F, const T&>>
-  Dataset<std::pair<K, T>> KeyBy(F fn) const {
-    return Map([fn = std::move(fn)](const T& item) {
-      return std::pair<K, T>(fn(item), item);
-    });
-  }
-
-  /// Concatenates this dataset with `other`.
-  Dataset<T> Union(const Dataset<T>& other) const {
-    return Dataset<T>(ctx_, std::make_shared<nodes::UnionNode<T>>(
-                                ctx_, node_, other.node_));
-  }
-
-  /// Bernoulli sample keeping each element with probability `fraction`.
-  Dataset<T> Sample(double fraction, std::uint64_t salt = 0) const {
-    return Dataset<T>(ctx_, std::make_shared<nodes::SampleNode<T>>(
-                                ctx_, node_, fraction, salt));
-  }
-
   // -- Persistence ---------------------------------------------------------
 
   /// Marks this dataset persistent: computed partitions are kept in the
@@ -457,31 +397,6 @@ class Dataset {
       for (auto& item : partition) out.push_back(std::move(item));
     }
     return out;
-  }
-
-  /// Number of elements.
-  std::size_t Count(const std::string& label = "count") const {
-    std::vector<std::vector<std::size_t>> partitions =
-        RunStage(*Map([](const T&) { return std::size_t{1}; }).node(), label);
-    std::size_t total = 0;
-    for (const auto& partition : partitions) {
-      for (std::size_t ones : partition) total += ones;
-    }
-    return total;
-  }
-
-  /// Fold with a commutative, associative op; `identity` its neutral value.
-  template <typename F>
-  T Reduce(F fn, T identity, const std::string& label = "reduce") const {
-    auto reduced = MapPartitions(
-        [fn, identity](std::uint32_t, const std::vector<T>& records) {
-          T acc = identity;
-          for (const T& record : records) acc = fn(acc, record);
-          return std::vector<T>{acc};
-        });
-    T total = identity;
-    for (const T& partial : reduced.Collect(label)) total = fn(total, partial);
-    return total;
   }
 
   /// Lineage description (RDD.toDebugString).
@@ -530,17 +445,23 @@ inline Dataset<std::string> TextFile(EngineContext& ctx,
 // Pair (wide) operations.
 // ---------------------------------------------------------------------------
 
-/// Repartitions pairs by key hash (or a custom partitioner) into
-/// `num_partitions` buckets.
+/// Hash-partitions pairs by key into `num_partitions` buckets. A dataset
+/// that is already such a shuffle is returned as is: every ShuffleNode
+/// hashes with PartitionOf, so its buckets are exactly what a fresh shuffle
+/// would produce, and its map stage (retained for the node's lifetime) is
+/// not rerun.
 template <typename K, typename V>
-Dataset<std::pair<K, V>> PartitionByKey(
-    const Dataset<std::pair<K, V>>& ds, std::uint32_t num_partitions,
-    typename nodes::ShuffleNode<K, V>::PartitionFn partition_fn = {}) {
+Dataset<std::pair<K, V>> PartitionByKey(const Dataset<std::pair<K, V>>& ds,
+                                        std::uint32_t num_partitions) {
   SS_CHECK(num_partitions >= 1);
+  using Shuffle = nodes::ShuffleNode<K, V>;
+  if (ds.NumPartitions() == num_partitions &&
+      dynamic_cast<const Shuffle*>(ds.node().get()) != nullptr) {
+    return ds;
+  }
   return Dataset<std::pair<K, V>>(
       ds.context(),
-      std::make_shared<nodes::ShuffleNode<K, V>>(
-          ds.context(), ds.node(), num_partitions, std::move(partition_fn)));
+      std::make_shared<Shuffle>(ds.context(), ds.node(), num_partitions));
 }
 
 /// Merges all values of each key with `fn` (commutative + associative).
@@ -572,27 +493,8 @@ Dataset<std::pair<K, V>> ReduceByKey(const Dataset<std::pair<K, V>>& ds, F fn,
       });
 }
 
-/// Groups all values per key into a vector.
-template <typename K, typename V>
-Dataset<std::pair<K, std::vector<V>>> GroupByKey(
-    const Dataset<std::pair<K, V>>& ds, std::uint32_t num_partitions) {
-  auto shuffled = PartitionByKey(ds, num_partitions);
-  return shuffled.MapPartitions(
-      [](std::uint32_t, const std::vector<std::pair<K, V>>& records) {
-        std::unordered_map<K, std::vector<V>> groups;
-        for (const auto& [key, value] : records) {
-          groups[key].push_back(value);
-        }
-        std::vector<std::pair<K, std::vector<V>>> out;
-        out.reserve(groups.size());
-        for (auto& [key, values] : groups) {
-          out.push_back({key, std::move(values)});
-        }
-        return out;
-      });
-}
-
-/// Inner join on key; both sides are shuffled to `num_partitions` and
+/// Inner join on key; both sides are shuffled to `num_partitions` (a side
+/// already partitioned that way is not reshuffled, see PartitionByKey) and
 /// joined bucket-by-bucket (Algorithm 1 step 9: Weights ⋈ InnerSigma).
 template <typename K, typename A, typename B>
 Dataset<std::pair<K, std::pair<A, B>>> Join(const Dataset<std::pair<K, A>>& left,
@@ -616,6 +518,44 @@ std::unordered_map<K, V> CollectAsMap(const Dataset<std::pair<K, V>>& ds,
     out[key] = value;
   }
   return out;
+}
+
+// ---------------------------------------------------------------------------
+// Checkpointing.
+// ---------------------------------------------------------------------------
+
+/// Persists the dataset's partitions to the DFS and returns a new dataset
+/// reading from them with TRUNCATED lineage (no parents). Long resampling
+/// chains checkpoint their expensive intermediates so recovery does not
+/// recompute from the original inputs. Requires Codec<T>.
+template <typename T>
+Result<Dataset<T>> Checkpoint(const Dataset<T>& ds, const std::string& path) {
+  if (ds.context()->dfs() == nullptr) {
+    return Status::FailedPrecondition("no DFS attached to the context");
+  }
+  std::vector<std::vector<T>> partitions = RunStage(*ds.node(), "checkpoint");
+  std::vector<std::vector<std::uint8_t>> blocks;
+  blocks.reserve(partitions.size());
+  for (const auto& partition : partitions) {
+    blocks.push_back(EncodePartition(partition));
+  }
+  SS_RETURN_IF_ERROR(ds.context()->dfs()->WriteBinaryFile(path, blocks));
+  return Dataset<T>(ds.context(),
+                    std::make_shared<nodes::CheckpointNode<T>>(
+                        ds.context(), path,
+                        static_cast<std::uint32_t>(blocks.size())));
+}
+
+/// Reopens an existing checkpoint (e.g. in a later session).
+template <typename T>
+Result<Dataset<T>> OpenCheckpoint(EngineContext& ctx, const std::string& path) {
+  if (ctx.dfs() == nullptr) {
+    return Status::FailedPrecondition("no DFS attached to the context");
+  }
+  Result<std::uint32_t> blocks = ctx.dfs()->BlockCount(path);
+  if (!blocks.ok()) return blocks.status();
+  return Dataset<T>(&ctx, std::make_shared<nodes::CheckpointNode<T>>(
+                              &ctx, path, blocks.value()));
 }
 
 }  // namespace ss::engine

@@ -103,7 +103,7 @@ PhaseTimer::~PhaseTimer() {
   const std::int64_t duration = ProfileNowNs() - begin_ns_;
   auto& spans = timeline_->phases;
   if (!spans.empty() && spans.back().phase == phase_) {
-    // Coalesce bursts of the same phase (per-record decode loops):
+    // Merge bursts of the same phase (per-record decode loops):
     // end_ns slides forward by the exact duration, keeping the
     // accounting invariant without one span per record.
     spans.back().end_ns += duration;

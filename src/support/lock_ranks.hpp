@@ -51,8 +51,6 @@ inline constexpr LockRank kParallelForError{"support.parallel_for_error", 30};
 inline constexpr LockRank kShufflePerMap{"engine.shuffle.per_map", 32};
 /// Shuffle reduce buckets (driver concatenation, reduce-task reads).
 inline constexpr LockRank kShuffleBuckets{"engine.shuffle.buckets", 34};
-/// SaveAsTextFile first-error aggregation.
-inline constexpr LockRank kSaveStatus{"engine.save_status", 36};
 
 // -- Cluster services ------------------------------------------------------
 inline constexpr LockRank kResourceManager{"cluster.resource_manager", 40};

@@ -50,8 +50,8 @@ namespace lock_order {
 /// Snapshot of the process-global acquisition graph.
 struct Stats {
   std::uint64_t acquisitions = 0;  ///< Tracked lock() calls so far.
-  int graph_nodes = 0;             ///< Distinct ranks ever held.
-  int graph_edges = 0;             ///< Distinct held→acquired rank pairs.
+  int graph_nodes = 0;             ///< Unique ranks ever held.
+  int graph_edges = 0;             ///< Unique held→acquired rank pairs.
   /// Acquisitions outside the declared rank order (non-increasing rank)
   /// that did not (yet) complete a cycle. Warned once per rank pair;
   /// deadlock_smoke asserts zero on clean runs.

@@ -4,7 +4,7 @@
 
 #include "core/record_traits.hpp"
 #include "core/sparkscore.hpp"
-#include "engine/dataset_ops.hpp"
+#include "engine/dataset.hpp"
 #include "stats/resampling.hpp"
 
 namespace ss::core {
@@ -84,7 +84,7 @@ TEST(PipelineCheckpointTest, CheckpointSurvivesCacheAndNodeLoss) {
   auto reopened = engine::OpenCheckpoint<
       std::pair<std::uint32_t, std::vector<double>>>(ctx2, "/ckpt/u");
   ASSERT_TRUE(reopened.ok());
-  EXPECT_EQ(reopened.value().Count(), 40u);  // one record per SNP
+  EXPECT_EQ(reopened.value().Collect().size(), 40u);  // one record per SNP
 }
 
 TEST(PipelineCheckpointTest, MissingDfsDegradesGracefully) {

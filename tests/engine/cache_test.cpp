@@ -109,7 +109,7 @@ TEST(CacheManagerTest, ClearResetsOccupancy) {
 
 // -- Eviction and prefetch under a budget -----------------------------------
 
-TEST(CacheSpillTest, PrefetchFetchDeclinedWhenBudgetFull) {
+TEST(CacheEvictionTest, PrefetchFetchDeclinedWhenBudgetFull) {
   CacheManager cache(/*capacity=*/150);
   cache.RegisterFetcher(7, [](std::uint32_t) {
     return FetchedPartition{std::make_shared<std::vector<int>>(3, 9), 100};
@@ -130,7 +130,7 @@ TEST(CacheSpillTest, PrefetchFetchDeclinedWhenBudgetFull) {
   cache.UnregisterFetcher(7);
 }
 
-TEST(CacheSpillTest, SpillDisabledDiscardsOnEviction) {
+TEST(CacheEvictionTest, EvictionDiscardsPartition) {
   CacheManager cache(/*capacity=*/150);
   cache.Insert({1, 0}, VecPayload({0, 1}), 100, 0);
   cache.Insert({1, 1}, VecPayload({2, 3}), 100, 0);
@@ -140,7 +140,7 @@ TEST(CacheSpillTest, SpillDisabledDiscardsOnEviction) {
   EXPECT_EQ(cache.Lookup({1, 0}), nullptr);  // dropped; lineage recomputes
 }
 
-TEST(CacheSpillTest, SetCapacityBytesEvictsDownLruFirst) {
+TEST(CacheEvictionTest, SetCapacityBytesEvictsDownLruFirst) {
   CacheManager cache;  // unlimited
   cache.Insert({1, 0}, VecPayload({0}), 100, 0);
   cache.Insert({1, 1}, VecPayload({1}), 100, 0);

@@ -5,7 +5,7 @@
 #include <atomic>
 #include <numeric>
 
-#include "engine/dataset_ops.hpp"
+#include "engine/dataset.hpp"
 
 namespace ss::engine {
 namespace {
@@ -135,7 +135,8 @@ TEST(CheckpointTest, DownstreamOpsCompose) {
   const int evens =
       static_cast<int>(checkpointed.value()
                            .Filter([](const int& x) { return x % 2 == 0; })
-                           .Count());
+                           .Collect()
+                           .size());
   EXPECT_EQ(evens, 20);
 }
 

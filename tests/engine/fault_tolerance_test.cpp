@@ -8,6 +8,7 @@
 #include "cluster/fault_injector.hpp"
 #include "engine/dataset.hpp"
 #include "engine/trace.hpp"
+#include "support/rng.hpp"
 
 namespace ss::engine {
 namespace {
@@ -134,22 +135,27 @@ TEST(FaultToleranceTest, ShuffleSurvivesMapTaskRetries) {
 
 TEST(FaultToleranceTest, RetriedTaskReproducesSameRandomness) {
   // Rng derived from TaskContext must not depend on the attempt number:
-  // a retried Sample task yields the same subset.
+  // a retried task draws the same values.
+  auto draw = [](EngineContext& ctx) {
+    std::vector<double> draws(2);
+    ctx.RunTasks("draw", 2, [&draws](TaskContext& task) {
+      Rng rng = task.MakeRng(/*salt=*/9);
+      draws[task.partition()] = rng.NextDouble();
+    });
+    return draws;
+  };
+
   cluster::FaultInjector faults;
   EngineContext ctx(LocalOptions(), nullptr, &faults);
-  std::vector<int> data(200);
-  std::iota(data.begin(), data.end(), 0);
-
-  auto sampled = Parallelize(ctx, data, 2).Sample(0.5, /*salt=*/9);
-  const auto clean = sampled.Collect();
+  const auto clean = draw(ctx);
 
   cluster::FaultInjector faults2;
   EngineContext ctx2(LocalOptions(), nullptr, &faults2);
-  auto sampled2 = Parallelize(ctx2, data, 2).Sample(0.5, /*salt=*/9);
   faults2.FailTask(1, 0, 1);
   faults2.FailTask(1, 1, 2);
-  const auto with_retries = sampled2.Collect();
+  const auto with_retries = draw(ctx2);
   EXPECT_EQ(clean, with_retries);
+  EXPECT_EQ(ctx2.metrics().stages().at(0).failed_attempts, 3);
 }
 
 }  // namespace

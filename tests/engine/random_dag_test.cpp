@@ -7,7 +7,6 @@
 // an injected mid-run node failure.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <numeric>
 
@@ -15,7 +14,6 @@
 #include "core/pipeline.hpp"
 #include "core/resampling_methods.hpp"
 #include "engine/dataset.hpp"
-#include "engine/dataset_ops.hpp"
 #include "engine/trace.hpp"
 #include "support/rng.hpp"
 
@@ -67,8 +65,16 @@ void ApplyRandomOp(Rng& rng, Dataset<int>& ds, std::vector<int>& reference) {
       reference = std::move(expanded);
       break;
     }
-    case 3: {  // coalesce: structural change, order preserved
-      ds = Coalesce(ds, static_cast<std::uint32_t>(rng.NextBounded(3)) + 1);
+    case 3: {  // mapPartitions: whole-partition shift, order preserved
+      const int c = static_cast<int>(rng.NextBounded(3)) + 1;
+      ds = ds.MapPartitions(
+          [c](std::uint32_t, const std::vector<int>& records) {
+            std::vector<int> out;
+            out.reserve(records.size());
+            for (int x : records) out.push_back(x - c);
+            return out;
+          });
+      for (int& x : reference) x -= c;
       break;
     }
   }
@@ -100,18 +106,13 @@ TEST_P(RandomDagSweep, PipelineMatchesReference) {
   // Order-preserving comparison, twice (cache hits on the second pass).
   EXPECT_EQ(ds.Collect(), reference) << "seed " << GetParam();
   EXPECT_EQ(ds.Collect(), reference) << "seed " << GetParam();
-  EXPECT_EQ(ds.Count(), reference.size());
 
   const long expected_sum =
       std::accumulate(reference.begin(), reference.end(), 0L);
-  auto longs = ds.Map([](const int& x) { return static_cast<long>(x); });
-  EXPECT_EQ(longs.Reduce([](long a, long b) { return a + b; }, 0L),
-            expected_sum);
-
-  std::vector<int> sorted_ref = reference;
-  std::sort(sorted_ref.begin(), sorted_ref.end());
-  EXPECT_EQ(SortBy(ds, [](const int& x) { return x; }, 3).Collect(),
-            sorted_ref);
+  const auto longs =
+      ds.Map([](const int& x) { return static_cast<long>(x); }).Collect();
+  EXPECT_EQ(longs.size(), reference.size());
+  EXPECT_EQ(std::accumulate(longs.begin(), longs.end(), 0L), expected_sum);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomDagSweep,
@@ -207,7 +208,7 @@ std::string SoakCellName(const SoakCell& cell) {
   return name;
 }
 
-TEST(SpillSoakMatrix, EveryCellBitwiseEqualsUnlimitedMemoryRun) {
+TEST(CacheSoakMatrix, EveryCellBitwiseEqualsUnlimitedMemoryRun) {
   // ~6 KB holds roughly one U partition of this study (40 patients x 15
   // SNPs per partition), forcing constant eviction; 1 byte evicts all but
   // the most recent entry ("zero" budget — capacity 0 means unlimited).
@@ -249,13 +250,13 @@ TEST(SpillSoakMatrix, EveryCellBitwiseEqualsUnlimitedMemoryRun) {
   for (std::uint64_t seed : failing_seeds) {
     std::fprintf(stderr,
                  "[cache-soak] replay failing seed with: "
-                 "--gtest_filter=SpillSoakMatrix.* (seed %llu)\n",
+                 "--gtest_filter=CacheSoakMatrix.* (seed %llu)\n",
                  static_cast<unsigned long long>(seed));
   }
   EXPECT_TRUE(failing_seeds.empty());
 }
 
-TEST(SpillSoakMatrix, TightBudgetActuallyEvictsAndRecomputes) {
+TEST(CacheSoakMatrix, TightBudgetActuallyEvictsAndRecomputes) {
   // Guard against a miscalibrated budget making the matrix vacuous: the
   // tight cell must evict for real and recompute partitions beyond the
   // one compute per cached partition an unlimited run needs.

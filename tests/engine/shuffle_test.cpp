@@ -1,5 +1,5 @@
-// Wide operations: PartitionByKey, ReduceByKey, GroupByKey, Join,
-// CollectAsMap — including partitioning invariants and stage accounting.
+// Wide operations: PartitionByKey, ReduceByKey, Join, CollectAsMap —
+// including partitioning invariants and stage accounting.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -109,20 +109,6 @@ TEST(ShuffleTest, ReduceByKeyEmptyInput) {
   EXPECT_TRUE(reduced.Collect().empty());
 }
 
-TEST(ShuffleTest, GroupByKeyGathersAllValues) {
-  EngineContext ctx(LocalOptions());
-  auto grouped = GroupByKey(Parallelize(ctx, PairsModKeys(30, 3), 4), 2);
-  auto result = CollectAsMap(grouped);
-  ASSERT_EQ(result.size(), 3u);
-  for (int k = 0; k < 3; ++k) {
-    std::vector<int> values = result[k];
-    std::sort(values.begin(), values.end());
-    std::vector<int> expected;
-    for (int v = k; v < 30; v += 3) expected.push_back(v);
-    EXPECT_EQ(values, expected);
-  }
-}
-
 TEST(ShuffleTest, JoinMatchesKeys) {
   EngineContext ctx(LocalOptions());
   std::vector<std::pair<int, std::string>> left = {
@@ -184,6 +170,34 @@ TEST(ShuffleTest, MapStageRunsOncePerShuffle) {
     if (stage.label.starts_with("shuffle-map")) ++map_stages;
   }
   EXPECT_EQ(map_stages, 1);  // EnsureReady is idempotent
+}
+
+TEST(ShuffleTest, PrePartitionedJoinSideShufflesOnce) {
+  // A side already hash-partitioned to the join's reducer count is joined
+  // as is: a second join runs no map stage for it, and both joins return
+  // exactly the rows, in the same order, of a join that shuffles afresh.
+  EngineContext ctx(LocalOptions());
+  auto source = Parallelize(ctx, PairsModKeys(40, 40), 4);
+  auto weights = PartitionByKey(source, 3);
+  EXPECT_EQ(PartitionByKey(weights, 3).node().get(), weights.node().get());
+  EXPECT_NE(PartitionByKey(weights, 2).node().get(), weights.node().get());
+  auto other = [&ctx] { return Parallelize(ctx, PairsModKeys(20, 20), 2); };
+  auto map_stages = [&ctx] {
+    int count = 0;
+    for (const auto& stage : ctx.metrics().stages()) {
+      if (stage.label.starts_with("shuffle-map")) ++count;
+    }
+    return count;
+  };
+
+  const auto first = Join(weights, other(), 3).Collect();
+  const int before_second = map_stages();
+  const auto second = Join(weights, other(), 3).Collect();
+  EXPECT_EQ(map_stages() - before_second, 1);  // the other side only
+  const auto fresh = Join(source, other(), 3).Collect();
+  EXPECT_EQ(fresh.size(), 20u);
+  EXPECT_EQ(first, fresh);
+  EXPECT_EQ(second, fresh);
 }
 
 TEST(ShuffleTest, NestedShufflesMaterializeDeepestFirst) {

@@ -9,7 +9,6 @@
 
 #include "cluster/fault_injector.hpp"
 #include "engine/dataset.hpp"
-#include "engine/dataset_ops.hpp"
 #include "engine/trace.hpp"
 
 namespace ss::engine {

@@ -6,8 +6,8 @@
 # With no arguments, runs the full matrix: plain RelWithDebInfo, then
 # address+undefined combined, then thread. Each configuration builds into
 # its own build-verify-<name> directory so the matrix is incremental across
-# invocations. The suite includes the cache tests (CacheSpillTest,
-# SpillSoakMatrix, the node-failure fault tests), so concurrent
+# invocations. The suite includes the cache tests (CacheEvictionTest,
+# CacheSoakMatrix, the node-failure fault tests), so concurrent
 # evict/recompute, prefetch fetches racing demand lookups, and node-failure
 # drops all run under ASan/UBSan and TSan here. Any unsuppressed
 # sanitizer report fails the corresponding
