@@ -3,8 +3,8 @@
 //
 // Paper shape to reproduce:
 //   * cached MC is dramatically faster than uncached at every iteration
-//     count > 0 (uncached recomputes the genotype -> U lineage, including
-//     the DFS read + parse, every replicate);
+//     count > 0 (uncached recomputes the genotype lineage, including the
+//     DFS read + parse, every replicate);
 //   * small matrix (Fig 4, 10k SNPs): cached @ 10000 iters beats uncached
 //     @ 200 iters;
 //   * large matrix (Fig 5, 1M SNPs): cached @ 1000 iters beats uncached
@@ -70,20 +70,23 @@ void RunSweep(const char* figure, const Workload& base,
 }
 
 /// Constrained-budget mode: a cache budget small enough to force eviction
-/// of the cached U partitions, run two ways at the same iteration count:
-///   unlimited — every U partition stays resident (reference);
+/// of the cached genotype partitions, run two ways at the same iteration
+/// count:
+///   unlimited — every genotype partition stays resident (reference);
 ///   tight     — least-recently-used partitions are dropped and a miss
 ///               replays the lineage.
-/// The ratio is what a budget too small for the U RDD costs.
+/// The ratio is what a budget too small for the cached genotypes costs.
 /// `datapoint=<file>` records the result as JSON.
 void RunConstrainedBudget(const Workload& base, int reps, const Args& args) {
-  // Default budget: ~a quarter of the U RDD footprint (one row of n
-  // doubles per SNP), forcing evictions while keeping some partitions.
-  const std::uint64_t u_bytes =
+  // Default budget: ~a quarter of the cached genotypes' footprint (one
+  // packed or plain dosage row plus a record header per SNP), forcing
+  // evictions while keeping some partitions.
+  const std::uint64_t n = base.generator.num_patients;
+  const std::uint64_t genotype_bytes =
       static_cast<std::uint64_t>(base.generator.num_snps) *
-      (static_cast<std::uint64_t>(base.generator.num_patients) * 8 + 48);
+      ((base.pipeline.pack_genotypes ? (n + 3) / 4 : n) + 48);
   const std::uint64_t budget =
-      args.GetU64("budget", std::max<std::uint64_t>(1, u_bytes / 4));
+      args.GetU64("budget", std::max<std::uint64_t>(1, genotype_bytes / 4));
   const std::uint64_t iters = args.GetU64("budget_iters", 100);
 
   Workload unlimited = base;
@@ -183,7 +186,7 @@ int Run(int argc, char** argv) {
              {0, 10, 50, 100}, /*uncached_max=*/10, reps, &args);
   }
 
-  // Beyond the paper: what a budget too small for the U RDD costs
+  // Beyond the paper: what a budget too small for the cached genotypes costs
   // (budget= budget_iters= datapoint= keys).
   RunConstrainedBudget(small, reps, args);
 

@@ -1,7 +1,7 @@
 // Beyond the paper: what the async executor buys on a budget-constrained
 // Monte Carlo run — the configuration where compute shares the critical
-// path with lineage recomputes of evicted U partitions and per-batch
-// Z-block generation.
+// path with lineage recomputes of evicted genotype partitions and
+// per-batch Z-block generation.
 //
 // Two runs of the same workload:
 //   synchronous — prefetch=0: the legacy loop; every Z-block runs inline
@@ -70,14 +70,15 @@ int Run(int argc, char** argv) {
   Workload base = DefaultWorkload(args, /*snps_default=*/400,
                                   /*sets_default=*/40);
   base.pipeline.cache_contributions = true;
-  // Budget small enough to force eviction of cached U partitions, so the
-  // run pays lineage recomputes alongside the lane's work (same default
-  // shape as bench_caching's constrained-budget mode).
-  const std::uint64_t u_bytes =
+  // Budget small enough to force eviction of cached genotype partitions,
+  // so the run pays lineage recomputes alongside the lane's work (same
+  // default shape as bench_caching's constrained-budget mode).
+  const std::uint64_t n = base.generator.num_patients;
+  const std::uint64_t genotype_bytes =
       static_cast<std::uint64_t>(base.generator.num_snps) *
-      (static_cast<std::uint64_t>(base.generator.num_patients) * 8 + 48);
+      ((base.pipeline.pack_genotypes ? (n + 3) / 4 : n) + 48);
   const std::uint64_t budget =
-      args.GetU64("budget", std::max<std::uint64_t>(1, u_bytes / 4));
+      args.GetU64("budget", std::max<std::uint64_t>(1, genotype_bytes / 4));
   base.engine.cache_capacity_bytes = budget;
   base.pipeline.cache_budget_bytes = budget;
 

@@ -229,16 +229,16 @@ int Run(int argc, char** argv) {
   // it defaults to the O(n) path.
   base.pipeline.paper_faithful_scores = args.GetU64("faithful", 0) != 0;
   // ~1000 SNP rows per store frame keeps per-task transients (one decoded
-  // partition + its U block) small relative to any sane budget.
+  // partition + its score rows) small relative to any sane budget.
   base.pipeline.num_partitions = static_cast<std::uint32_t>(args.GetU64(
       "partitions",
       std::max<std::uint64_t>(1, base.generator.num_snps / 1000)));
   base.pipeline.resampling_batch_size =
       std::max<std::uint64_t>(1, args.GetU64("batch", 32));
-  // Cache the observed U RDD (Algorithm 3); under a tight budget evicted
-  // U partitions are recomputed from lineage and store-backed genotype
-  // partitions re-read off the mmap. cache_u=0 ablates to
-  // recompute-per-pass.
+  // Cache the decoded genotype partitions every Monte Carlo batch
+  // rescores; under a tight budget an evicted partition is re-read off
+  // the mmap. cache_u=0 (the key predates the factored scores) ablates to
+  // re-reading every pass.
   base.pipeline.cache_contributions = args.GetBool("cache_u", true);
   // The async I/O lane is the default here: streaming off the store is
   // exactly the workload prefetch exists to overlap.
@@ -249,10 +249,11 @@ int Run(int argc, char** argv) {
 
   const std::filesystem::path tmp = std::filesystem::temp_directory_path();
 
-  // Resampling depth amortizes the streaming I/O: each MC replicate reuses
-  // the same U partitions, so out-of-core overhead shrinks as B grows —
-  // the paper's workload runs B=1000 replicates. 32 keeps the bench under
-  // a half hour on one core while staying in the amortized regime.
+  // Resampling depth amortizes the streaming I/O: each MC batch reuses
+  // the same genotype partitions, so out-of-core overhead shrinks as B
+  // grows — the paper's workload runs B=1000 replicates. 32 keeps the
+  // bench under a half hour on one core while staying in the amortized
+  // regime.
   const std::uint64_t iters = args.GetU64("iters", 32);
   const std::uint64_t slack_mb = args.GetU64("rss_slack_mb", 1024);
   const std::string store_path = args.GetStr(

@@ -52,7 +52,7 @@ int main() {
 
   // 5. Monte Carlo resampling (Algorithm 3), 500 replicates. Replicates
   // run in batches of 100: each batch is ONE engine pass over the cached
-  // U RDD; results are bitwise identical for any batch size (batch 1
+  // genotypes; results are bitwise identical for any batch size (batch 1
   // recovers one-pass-per-replicate scheduling).
   core::ResamplingRequest request;
   request.method = core::ResamplingMethod::kMonteCarlo;
@@ -66,8 +66,8 @@ int main() {
   std::fputs(core::FormatTopHits(result, 10).c_str(), stdout);
 
   const auto cache = ctx.cache().stats();
-  std::printf("\nEngine: %llu tasks, U-RDD cache %llu hits / %llu misses "
-              "(Algorithm 3 reused the cached contributions %llu times)\n",
+  std::printf("\nEngine: %llu tasks, genotype cache %llu hits / %llu misses "
+              "(Algorithm 3 reused the cached genotypes %llu times)\n",
               static_cast<unsigned long long>(ctx.tasks_completed()),
               static_cast<unsigned long long>(cache.hits),
               static_cast<unsigned long long>(cache.misses),

@@ -50,27 +50,65 @@ std::vector<double> MarginalScores(const SkatInputs& inputs,
   return scores;
 }
 
-/// Observed per-patient contributions U_ij (by SNP) plus the marginal
-/// scores U_j — the Algorithm 3 state computed once and reused by every
-/// replicate (what caching makes cheap in the distributed version).
-struct ObservedContributions {
-  std::vector<std::vector<double>> by_snp;
-  std::vector<double> scores;
-};
-
-ObservedContributions ComputeObservedContributions(
-    const SkatInputs& inputs, const stats::ScoreEngine& engine) {
+/// Algorithm 3's replicate scores for one batch of `count` Z columns, in
+/// the distributed pass's factored order: per SNP j, out[j][r] =
+/// Σ_l G_lj W_lr (stats::FactoredReplicateScores).
+void FactoredBlockScores(const SkatInputs& inputs,
+                         const stats::ScoreEngine& engine,
+                         const std::vector<double>& zblock, std::size_t count,
+                         std::vector<std::vector<double>>* out) {
+  const stats::ScaledReplicateWeights weights =
+      stats::MakeScaledReplicateWeights(engine, zblock, count);
   const std::uint32_t m = inputs.genotypes->num_snps();
-  ObservedContributions observed;
-  observed.by_snp.resize(m);
-  observed.scores.resize(m);
+  out->resize(m);
   for (std::uint32_t j = 0; j < m; ++j) {
-    observed.by_snp[j] = engine.Contributions(inputs.genotypes->by_snp[j]);
-    double total = 0.0;
-    for (double u : observed.by_snp[j]) total += u;
-    observed.scores[j] = total;
+    SS_CHECK(stats::FactoredReplicateScores(inputs.genotypes->by_snp[j],
+                                            weights, &(*out)[j]));
   }
-  return observed;
+}
+
+/// Per-set statistics of every replicate of one factored batch.
+std::vector<std::vector<double>> BatchStatistics(
+    const SkatInputs& inputs, const stats::ScoreEngine& engine,
+    const std::vector<double>& zblock, std::size_t count) {
+  std::vector<std::vector<double>> block_scores;  // [snp][replicate]
+  FactoredBlockScores(inputs, engine, zblock, count, &block_scores);
+  std::vector<std::vector<double>> statistics;
+  statistics.reserve(count);
+  std::vector<double> replicate_scores(block_scores.size());
+  for (std::size_t r = 0; r < count; ++r) {
+    for (std::size_t j = 0; j < block_scores.size(); ++j) {
+      replicate_scores[j] = block_scores[j][r];
+    }
+    statistics.push_back(SkatFromScores(inputs, replicate_scores));
+  }
+  return statistics;
+}
+
+/// Observed statistics plus the exceedance counts of `replicates`
+/// Monte Carlo replicates scored in batches of `batch` Z columns.
+SkatAnalysis MonteCarloAnalysis(const SkatInputs& inputs, std::uint64_t seed,
+                                std::uint64_t replicates,
+                                std::uint64_t batch) {
+  CheckInputs(inputs);
+  stats::ScoreEngine engine(*inputs.phenotype);
+  SkatAnalysis analysis;
+  analysis.observed = SkatFromScores(inputs, MarginalScores(inputs, engine));
+  analysis.exceed_count.assign(inputs.sets->size(), 0);
+  analysis.replicates = replicates;
+  const std::size_t n = inputs.phenotype->n();
+  for (std::uint64_t begin = 0; begin < replicates; begin += batch) {
+    const std::size_t count =
+        static_cast<std::size_t>(std::min(replicates, begin + batch) - begin);
+    for (const std::vector<double>& statistics : BatchStatistics(
+             inputs, engine, stats::MonteCarloZBlock(seed, n, begin, count),
+             count)) {
+      for (std::size_t k = 0; k < statistics.size(); ++k) {
+        if (statistics[k] >= analysis.observed[k]) ++analysis.exceed_count[k];
+      }
+    }
+  }
+  return analysis;
 }
 
 }  // namespace
@@ -109,53 +147,20 @@ SkatAnalysis SerialPermutation(const SkatInputs& inputs, std::uint64_t seed,
 
 SkatAnalysis SerialMonteCarlo(const SkatInputs& inputs, std::uint64_t seed,
                               std::uint64_t replicates) {
-  CheckInputs(inputs);
-  stats::ScoreEngine engine(*inputs.phenotype);
-  const std::uint32_t m = inputs.genotypes->num_snps();
-  const ObservedContributions observed =
-      ComputeObservedContributions(inputs, engine);
-
-  SkatAnalysis analysis;
-  analysis.observed = SkatFromScores(inputs, observed.scores);
-  analysis.exceed_count.assign(inputs.sets->size(), 0);
-  analysis.replicates = replicates;
-
-  const stats::MonteCarloWeights mc(seed, inputs.phenotype->n(), replicates);
-  std::vector<double> replicate_scores(m);
-  for (std::uint64_t b = 0; b < replicates; ++b) {
-    const std::vector<double>& z = mc.Get(b);
-    for (std::uint32_t j = 0; j < m; ++j) {
-      replicate_scores[j] =
-          stats::MonteCarloReplicateScore(observed.by_snp[j], z);
-    }
-    const std::vector<double> statistics =
-        SkatFromScores(inputs, replicate_scores);
-    for (std::size_t k = 0; k < statistics.size(); ++k) {
-      if (statistics[k] >= analysis.observed[k]) ++analysis.exceed_count[k];
-    }
-  }
-  return analysis;
+  // One Z column per replicate: the per-replicate multipliers of
+  // stats::MonteCarloWeights, in the one-column MonteCarloZBlock layout.
+  return MonteCarloAnalysis(inputs, seed, replicates, 1);
 }
 
 std::vector<std::vector<double>> SerialMonteCarloReplicateStatistics(
     const SkatInputs& inputs, std::uint64_t seed, std::uint64_t replicates) {
   CheckInputs(inputs);
   stats::ScoreEngine engine(*inputs.phenotype);
-  const std::uint32_t m = inputs.genotypes->num_snps();
-  const ObservedContributions observed =
-      ComputeObservedContributions(inputs, engine);
-
   const stats::MonteCarloWeights mc(seed, inputs.phenotype->n(), replicates);
   std::vector<std::vector<double>> statistics;
   statistics.reserve(replicates);
-  std::vector<double> replicate_scores(m);
   for (std::uint64_t b = 0; b < replicates; ++b) {
-    const std::vector<double>& z = mc.Get(b);
-    for (std::uint32_t j = 0; j < m; ++j) {
-      replicate_scores[j] =
-          stats::MonteCarloReplicateScore(observed.by_snp[j], z);
-    }
-    statistics.push_back(SkatFromScores(inputs, replicate_scores));
+    statistics.push_back(BatchStatistics(inputs, engine, mc.Get(b), 1).front());
   }
   return statistics;
 }
@@ -164,42 +169,8 @@ SkatAnalysis SerialMonteCarloBatched(const SkatInputs& inputs,
                                      std::uint64_t seed,
                                      std::uint64_t replicates,
                                      std::uint64_t batch_size) {
-  CheckInputs(inputs);
-  stats::ScoreEngine engine(*inputs.phenotype);
-  const std::uint32_t m = inputs.genotypes->num_snps();
-  const ObservedContributions observed =
-      ComputeObservedContributions(inputs, engine);
-
-  SkatAnalysis analysis;
-  analysis.observed = SkatFromScores(inputs, observed.scores);
-  analysis.exceed_count.assign(inputs.sets->size(), 0);
-  analysis.replicates = replicates;
-
-  const std::uint64_t batch = std::max<std::uint64_t>(1, batch_size);
-  const std::size_t n = inputs.phenotype->n();
-  std::vector<std::vector<double>> block_scores(m);  // [snp][replicate]
-  std::vector<double> replicate_scores(m);
-  for (std::uint64_t begin = 0; begin < replicates; begin += batch) {
-    const std::size_t count =
-        static_cast<std::size_t>(std::min(replicates, begin + batch) - begin);
-    const std::vector<double> zblock =
-        stats::MonteCarloZBlock(seed, n, begin, count);
-    for (std::uint32_t j = 0; j < m; ++j) {
-      stats::BatchedReplicateScores(observed.by_snp[j], zblock.data(), count,
-                                    &block_scores[j]);
-    }
-    for (std::size_t r = 0; r < count; ++r) {
-      for (std::uint32_t j = 0; j < m; ++j) {
-        replicate_scores[j] = block_scores[j][r];
-      }
-      const std::vector<double> statistics =
-          SkatFromScores(inputs, replicate_scores);
-      for (std::size_t k = 0; k < statistics.size(); ++k) {
-        if (statistics[k] >= analysis.observed[k]) ++analysis.exceed_count[k];
-      }
-    }
-  }
-  return analysis;
+  return MonteCarloAnalysis(inputs, seed, replicates,
+                            std::max<std::uint64_t>(1, batch_size));
 }
 
 }  // namespace ss::baseline

@@ -44,9 +44,11 @@ SkatAnalysis SerialObserved(const SkatInputs& inputs);
 SkatAnalysis SerialPermutation(const SkatInputs& inputs, std::uint64_t seed,
                                std::uint64_t replicates);
 
-/// Lin's Monte Carlo resampling (Algorithm 3, serial): the observed
-/// per-patient contributions are computed once and reused by every
-/// replicate as Ũ_j = Σ_i Z_i U_ij.
+/// Lin's Monte Carlo resampling (Algorithm 3, serial): every replicate
+/// scores Ũ_j = Σ_i Z_i U_ij in its factored form Σ_l G_lj w_l, with the
+/// per-replicate residual weights w of ScoreEngine::ReplicateWeightsInto
+/// — the summation order of the distributed pass, so the two agree bit
+/// for bit.
 SkatAnalysis SerialMonteCarlo(const SkatInputs& inputs, std::uint64_t seed,
                               std::uint64_t replicates);
 
@@ -57,12 +59,11 @@ SkatAnalysis SerialMonteCarlo(const SkatInputs& inputs, std::uint64_t seed,
 std::vector<std::vector<double>> SerialMonteCarloReplicateStatistics(
     const SkatInputs& inputs, std::uint64_t seed, std::uint64_t replicates);
 
-/// SerialMonteCarlo evaluated through the batched machinery — Z blocks of
-/// `batch_size` replicates (stats::MonteCarloZBlock) and the blocked
-/// stats::BatchedReplicateScores kernel — instead of per-replicate dot
-/// products. Must be bitwise equal to SerialMonteCarlo for every batch
-/// size; this is the serial half of the batching-invariance argument the
-/// distributed driver relies on (cross-checked in tests).
+/// SerialMonteCarlo evaluated through Z blocks of `batch_size` replicates
+/// (stats::MonteCarloZBlock) and one weight block per batch instead of
+/// one column at a time. Must be bitwise equal to SerialMonteCarlo for
+/// every batch size; this is the serial half of the batching-invariance
+/// argument the distributed driver relies on (cross-checked in tests).
 SkatAnalysis SerialMonteCarloBatched(const SkatInputs& inputs,
                                      std::uint64_t seed,
                                      std::uint64_t replicates,

@@ -12,7 +12,6 @@
 #include "engine/trace.hpp"
 #include "stats/kernels/kernels.hpp"
 #include "stats/resampling.hpp"
-#include "support/log.hpp"
 
 namespace ss::core {
 namespace {
@@ -75,6 +74,42 @@ std::vector<std::uint8_t> BuildMembership(
   return member;
 }
 
+/// A record's dosage vector: a packed record is unpacked into the task's
+/// buffer (decode time, untraced: one span per record would flood the
+/// Chrome trace; coalescing keeps the accounting exact).
+const std::vector<std::uint8_t>& Dosages(const stats::PackedSnpRecord& record,
+                                         std::vector<std::uint8_t>* buffer) {
+  ss::engine::PhaseTimer decode_phase(ss::engine::TaskPhase::kDecode,
+                                      /*trace=*/false);
+  record.genotypes.UnpackInto(buffer);
+  return *buffer;
+}
+
+const std::vector<std::uint8_t>& Dosages(const SnpRecord& record,
+                                         std::vector<std::uint8_t>*) {
+  return record.genotypes;
+}
+
+/// One MapPartitions pass over the genotype partitions in their cached
+/// form: `fn(records)` gets a partition of packed records when `packed`,
+/// else of plain ones, and reads each record's dosages through Dosages.
+template <typename Fn>
+auto MapGenotypePartitions(bool packed,
+                           const Dataset<stats::PackedSnpRecord>& packed_records,
+                           const Dataset<SnpRecord>& records, Fn fn) {
+  if (packed) {
+    return packed_records.MapPartitions(
+        [fn](std::uint32_t,
+             const std::vector<stats::PackedSnpRecord>& partition) {
+          return fn(partition);
+        });
+  }
+  return records.MapPartitions(
+      [fn](std::uint32_t, const std::vector<SnpRecord>& partition) {
+        return fn(partition);
+      });
+}
+
 }  // namespace
 
 SkatPipeline::SkatPipeline(engine::EngineContext& ctx,
@@ -127,11 +162,13 @@ SkatPipeline::SkatPipeline(engine::EngineContext& ctx,
           return packed;
         });
     if (config_.cache_contributions) {
-      // Permutation replicates rescore the genotypes every pass;
-      // caching the packed form keeps that pass off the parse chain at
-      // a quarter of the unpacked footprint.
+      // Every Monte Carlo batch and permutation replicate rescores the
+      // genotypes; caching the packed form keeps those passes off the
+      // parse chain at a quarter of the unpacked footprint.
       fgm_packed_.Cache();
     }
+  } else if (config_.cache_contributions) {
+    fgm_.Cache();
   }
 
   // Step 2 result, from driver-side weights (in-memory construction path).
@@ -312,97 +349,69 @@ SkatPipeline SkatPipeline::FromMemory(engine::EngineContext& ctx,
                       dataset.weights, dataset.sets);
 }
 
-Dataset<std::pair<std::uint32_t, std::vector<double>>> SkatPipeline::BuildU(
-    const engine::Broadcast<stats::ScoreEngine>& engine) const {
+Dataset<std::pair<std::uint32_t, std::vector<double>>> SkatPipeline::BuildU()
+    const {
   // Steps 6-7: per-SNP contributions under the broadcast phenotype.
-  if (config_.pack_genotypes) {
-    // Decode the 2-bit block back to dosages at the point of use; the
-    // roundtrip is lossless so scores are bitwise unchanged. The unpack
-    // is profiled as decode time (untraced: one span per record would
-    // flood the Chrome trace; coalescing keeps the accounting exact).
-    return fgm_packed_.Map([engine](const stats::PackedSnpRecord& record) {
-      std::vector<std::uint8_t> dosages;
-      {
-        ss::engine::PhaseTimer decode_phase(ss::engine::TaskPhase::kDecode,
-                                            /*trace=*/false);
-        record.genotypes.UnpackInto(&dosages);
-      }
-      return std::pair<std::uint32_t, std::vector<double>>(
-          record.snp, engine->Contributions(dosages));
-    });
-  }
-  return fgm_.Map([engine](const SnpRecord& record) {
-    return std::pair<std::uint32_t, std::vector<double>>(
-        record.snp, engine->Contributions(record.genotypes));
-  });
+  auto engine = engine::MakeBroadcast(
+      *ctx_, stats::ScoreEngine(phenotype_, config_.paper_faithful_scores));
+  return MapGenotypePartitions(
+      config_.pack_genotypes, fgm_packed_, fgm_,
+      [engine](const auto& records) {
+        std::vector<std::pair<std::uint32_t, std::vector<double>>> out;
+        out.reserve(records.size());
+        std::vector<std::uint8_t> buffer;
+        for (const auto& record : records) {
+          out.emplace_back(record.snp,
+                           engine->Contributions(Dosages(record, &buffer)));
+        }
+        return out;
+      });
 }
 
-SetScores SkatPipeline::ScoreSets(stats::Phenotype phenotype) const {
+Dataset<std::pair<std::uint32_t, double>> SkatPipeline::MarginalScores(
+    stats::Phenotype phenotype) const {
   // Step 5 broadcasts the phenotype's score engine. Steps 6-8 run fused,
   // one pass per genotype partition: each task allocates its buffers
   // once, fills one SNP's contributions U_ij, sums them in ascending
-  // patient order and emits (SNP j, U_j²). Same values, same order as
-  // materializing the U RDD and summing each record, without an n-vector
-  // per SNP.
+  // patient order and emits U_j. Same values, same order as materializing
+  // the U RDD and summing each record, without an n-vector per SNP.
   auto engine = engine::MakeBroadcast(
       *ctx_, stats::ScoreEngine(std::move(phenotype),
                                 config_.paper_faithful_scores));
-  // The pass body for either genotype format: `dosages` yields a record's
-  // dosage vector, unpacking a packed record into the task's buffer.
-  const auto squared_scores = [engine](const auto& records,
-                                       const auto& dosages) {
-    std::vector<std::pair<std::uint32_t, double>> out;
-    out.reserve(records.size());
-    std::vector<std::uint8_t> buffer;
-    std::vector<double> scratch;
-    std::vector<double> contributions;
-    for (const auto& record : records) {
-      engine->ContributionsInto(dosages(record, &buffer), &scratch,
-                                &contributions);
-      double total = 0.0;
-      for (double contribution : contributions) total += contribution;
-      out.emplace_back(record.snp, total * total);
-    }
-    return out;
-  };
-  Dataset<std::pair<std::uint32_t, double>> inner_sigma;
-  if (config_.pack_genotypes) {
-    inner_sigma = fgm_packed_.MapPartitions(
-        [squared_scores](std::uint32_t,
-                         const std::vector<stats::PackedSnpRecord>& records) {
-          return squared_scores(
-              records,
-              [](const stats::PackedSnpRecord& record,
-                 std::vector<std::uint8_t>* buffer)
-                  -> const std::vector<std::uint8_t>& {
-                // Untraced, as in BuildU: coalesced decode time.
-                ss::engine::PhaseTimer decode_phase(
-                    ss::engine::TaskPhase::kDecode, /*trace=*/false);
-                record.genotypes.UnpackInto(buffer);
-                return *buffer;
-              });
-        });
-  } else {
-    inner_sigma = fgm_.MapPartitions(
-        [squared_scores](std::uint32_t, const std::vector<SnpRecord>& records) {
-          return squared_scores(
-              records,
-              [](const SnpRecord& record, std::vector<std::uint8_t>*)
-                  -> const std::vector<std::uint8_t>& {
-                return record.genotypes;
-              });
-        });
-  }
+  return MapGenotypePartitions(
+      config_.pack_genotypes, fgm_packed_, fgm_,
+      [engine](const auto& records) {
+        // Filled by index: with no call between the sum and its store the
+        // accumulator stays in a register. Kept live across an
+        // emplace_back, it is spilled on every addition and the pass runs
+        // about a third slower.
+        std::vector<std::pair<std::uint32_t, double>> out(records.size());
+        std::vector<std::uint8_t> buffer;
+        std::vector<double> scratch;
+        std::vector<double> contributions;
+        for (std::size_t k = 0; k < records.size(); ++k) {
+          engine->ContributionsInto(Dosages(records[k], &buffer), &scratch,
+                                    &contributions);
+          double total = 0.0;
+          for (double contribution : contributions) total += contribution;
+          out[k] = {records[k].snp, total};
+        }
+        return out;
+      });
+}
 
-  // Step 9: join with squared weights, which are stored already
-  // partitioned, so only inner_sigma is shuffled here. Step 10: per-SNP
-  // score.
-  auto joined = engine::Join(weights_sq_, inner_sigma, config_.num_reducers);
+SetScores SkatPipeline::ScoreSets(stats::Phenotype phenotype) const {
+  // Step 9: join U_j with the squared weights, which are stored already
+  // partitioned, so only the scores are shuffled here. Steps 8 and 10:
+  // the per-SNP score ω_j² (U_j U_j).
+  auto joined = engine::Join(weights_sq_, MarginalScores(std::move(phenotype)),
+                             config_.num_reducers);
   auto snp_scores =
       joined.Map([](const std::pair<std::uint32_t, std::pair<double, double>>&
                         record) {
+        const double score = record.second.second;
         return std::pair<std::uint32_t, double>(
-            record.first, record.second.first * record.second.second);
+            record.first, record.second.first * (score * score));
       });
 
   // Steps 11-12: scatter each SNP's score to its containing sets and sum.
@@ -430,35 +439,21 @@ SetScores SkatPipeline::ScoreSets(stats::Phenotype phenotype) const {
   return observed;
 }
 
-void SkatPipeline::EnsureUBuilt() {
-  if (u_built_) return;
-  auto engine_bcast = engine::MakeBroadcast(
-      *ctx_, stats::ScoreEngine(phenotype_, config_.paper_faithful_scores));
-  u_observed_ = BuildU(engine_bcast);
-  if (!config_.checkpoint_contributions_path.empty() &&
-      ctx_->dfs() != nullptr) {
-    // Persist U to the DFS and continue from the truncated-lineage
-    // dataset; a node failure now re-reads replicated blocks instead of
-    // recomputing scores from the genotype inputs.
-    auto checkpointed = engine::Checkpoint(
-        u_observed_, config_.checkpoint_contributions_path);
-    if (checkpointed.ok()) {
-      u_observed_ = std::move(checkpointed).value();
-    } else {
-      SS_LOG(kWarn, "sparkscore")
-          << "U checkpoint failed (" << checkpointed.status().ToString()
-          << "); continuing with lineage recovery";
-    }
-  }
-  if (config_.cache_contributions) {
-    u_observed_.Cache();  // Algorithm 3 step 2
-  }
-  u_built_ = true;
-}
-
 SetScores SkatPipeline::ComputeObserved() {
   engine::TraceSpan span(engine::Tracer::Global(), "algo", "observed skat");
   return ScoreSets(phenotype_);
+}
+
+std::unordered_map<std::uint32_t, std::vector<double>>
+SkatPipeline::ComputeObservedScoreBlock() {
+  engine::TraceSpan span(engine::Tracer::Global(), "algo",
+                         "observed score block");
+  auto block = MarginalScores(phenotype_)
+                   .Map([](const std::pair<std::uint32_t, double>& score) {
+                     return std::pair<std::uint32_t, std::vector<double>>(
+                         score.first, {score.second});
+                   });
+  return engine::CollectAsMap(block, "collect-observed-block");
 }
 
 std::unordered_map<std::uint32_t, std::vector<double>>
@@ -467,30 +462,39 @@ SkatPipeline::ComputeMonteCarloScoreBlock(
     const std::vector<stats::SnpSet>* live) {
   static std::atomic<std::uint64_t>& snp_replicates =
       engine::CounterRegistry::Global().Get("resampling.snp_replicates");
-  SS_CHECK(u_built_);  // an observed pass must run first (Algorithm 3 step 1)
   SS_CHECK(zblock.size() == count * n());
   engine::TraceSpan span(engine::Tracer::Global(), "algo",
                          "monte-carlo score block",
                          {engine::Arg("replicates", count)});
-  auto z = engine::MakeBroadcast(*ctx_, zblock);
+  if (observed_engine_ == nullptr) {
+    observed_engine_ = std::make_shared<const stats::ScoreEngine>(
+        phenotype_, config_.paper_faithful_scores);
+  }
+  // The batch's residual weights: O(n·count) on the driver, then every
+  // replicate score is a sum of weight rows over the SNP's carriers.
+  auto weights = engine::MakeBroadcast(
+      *ctx_, stats::MakeScaledReplicateWeights(*observed_engine_, zblock,
+                                               count));
   auto snp_mask = engine::MakeBroadcast(
       *ctx_, BuildMembership(live == nullptr ? sets_ : *live));
-  auto scored = u_observed_.MapPartitions(
-      [z, count, snp_mask](
-          std::uint32_t,
-          const std::vector<std::pair<std::uint32_t, std::vector<double>>>&
-              records) {
+  auto scored = MapGenotypePartitions(
+      config_.pack_genotypes, fgm_packed_, fgm_,
+      [weights, snp_mask](const auto& records) {
         std::vector<std::pair<std::uint32_t, std::vector<double>>> out;
         out.reserve(records.size());
+        std::vector<std::uint8_t> buffer;
         std::vector<double> scores;
         for (const auto& record : records) {
-          if (record.first >= snp_mask->size() ||
-              (*snp_mask)[record.first] == 0) {
+          if (record.snp >= snp_mask->size() ||
+              (*snp_mask)[record.snp] == 0) {
             continue;
           }
-          stats::BatchedReplicateScores(record.second, z->data(), count,
-                                        &scores);
-          out.push_back({record.first, scores});
+          if (!stats::FactoredReplicateScores(Dosages(record, &buffer),
+                                              *weights, &scores)) {
+            throw engine::TaskFailure("SNP " + std::to_string(record.snp) +
+                                      " has a dosage above 2");
+          }
+          out.emplace_back(record.snp, scores);
         }
         return out;
       });
@@ -509,13 +513,12 @@ const std::unordered_map<std::uint32_t, double>& SkatPipeline::DriverWeights() {
 
 std::unordered_map<std::uint32_t, stats::Matrix>
 SkatPipeline::CollectSetGramMatrices() {
-  EnsureUBuilt();
   engine::TraceSpan span(engine::Tracer::Global(), "algo",
                          "collect set gram matrices");
-  // Driver-side copy of the per-SNP contribution vectors; set sizes are a
-  // few to a few dozen members, so d×d Grams are tiny — the n-vectors
-  // dominate and are the same bytes the score-block collect moves.
-  const auto u_by_snp = engine::CollectAsMap(u_observed_, "collect-u-vectors");
+  // Driver-side copy of the per-SNP contribution vectors, built from the
+  // cached genotypes and not kept; set sizes are a few to a few dozen
+  // members, so d×d Grams are tiny and the n-vectors dominate.
+  const auto u_by_snp = engine::CollectAsMap(BuildU(), "collect-u-vectors");
   const std::unordered_map<std::uint32_t, double>& weights = DriverWeights();
   // One task per set. Each task writes only its own slot, so a retried
   // attempt simply overwrites it.
@@ -563,10 +566,6 @@ SetScores SkatPipeline::ComputePermutationReplicate(
   engine::TraceSpan span(engine::Tracer::Global(), "algo",
                          "permutation replicate");
   return ScoreSets(phenotype_.Permuted(perm));
-}
-
-void SkatPipeline::UnpersistContributions() {
-  if (u_built_) u_observed_.Unpersist();
 }
 
 }  // namespace ss::core

@@ -14,16 +14,23 @@
 //   11-12. per-set aggregation: S_k = Σ_{j∈I_k} score_j, returned as the
 //       HashMap (SNP-set -> S_k).
 //
-// Algorithm 2 (ComputeObserved, and ComputePermutationReplicate, which
-// re-executes the steps per replicate with a permuted phenotype) never
-// builds the U RDD: steps 6-8 run as one fused pass over the filtered
-// genotypes that reuses per-task buffers and emits (SNP j, U_j²)
-// directly, bitwise equal to summing the U records; steps 9-12 run on
-// the engine (join + ReduceByKey). Algorithm 3 instead caches the U RDD
-// and scores it with Monte Carlo multipliers Z in blocks
-// (ComputeMonteCarloScoreBlock); its observed statistic is the case Z = 1,
-// so Monte Carlo, hybrid and SKAT-O fold observed and replicate scores
-// through one canonical driver-side fold (core/resampling_methods.hpp).
+// Only the analytic screen's Gram matrices (CollectSetGramMatrices)
+// materialize the U RDD, and they do not keep it. Algorithm 2
+// (ComputeObserved, and ComputePermutationReplicate, which re-executes
+// the steps per replicate with a permuted phenotype) runs steps 6-8 as
+// one fused pass over the filtered genotypes that reuses per-task
+// buffers and emits (SNP j, U_j) directly, bitwise equal to summing the
+// U records; steps 9-12 run on the engine (join, square and weight,
+// ReduceByKey).
+// Algorithm 3 caches the filtered genotypes (2-bit packed by default)
+// and scores Monte Carlo multipliers Z in blocks without U: each
+// replicate's Σ_i Z_i U_ij is Σ_l G_lj w_l for per-replicate residual
+// weights w (stats::ScoreEngine::ReplicateWeightsInto), so one pass sums
+// weight rows over each SNP's carriers (ComputeMonteCarloScoreBlock).
+// Its observed statistic is the same fused pass's U_j
+// (ComputeObservedScoreBlock), so Monte Carlo, hybrid and SKAT-O fold
+// observed and replicate scores through one canonical driver-side fold
+// (core/resampling_methods.hpp).
 #pragma once
 
 #include <cstdint>
@@ -59,7 +66,9 @@ struct PipelineConfig {
   /// partition per block instead).
   std::uint32_t num_partitions = 8;
 
-  /// Cache the U RDD (prerequisite of Algorithm 3; Experiment B ablates it).
+  /// Cache the filtered genotype partitions (the packed form when
+  /// `pack_genotypes` is set) that every Monte Carlo batch and
+  /// permutation replicate rescores; Experiment B ablates it.
   bool cache_contributions = true;
 
   /// Memory budget for the engine's partition cache, applied to the
@@ -83,19 +92,12 @@ struct PipelineConfig {
   /// this; see stats/score_engine.hpp.
   bool paper_faithful_scores = false;
 
-  /// When non-empty (and the context has a DFS), the observed U RDD is
-  /// checkpointed to this DFS path after its first materialization,
-  /// truncating its lineage: replicates then read the replicated
-  /// checkpoint instead of recomputing from the genotype inputs after a
-  /// failure — the right trade for very long resampling chains.
-  std::string checkpoint_contributions_path;
-
   /// Seed for the resampling plans layered on top (Algorithms 2/3).
   std::uint64_t seed = 2016;
 
   /// Monte Carlo replicates per engine pass (Algorithm 3): each batch
-  /// broadcasts an n×R Z block and computes all R replicate scores in one
-  /// blocked kernel over the cached U partitions, amortizing the
+  /// broadcasts an n×R block of residual weights and computes all R
+  /// replicate scores in one pass over the cached genotypes, amortizing the
   /// per-pass scheduling cost. Results are bitwise invariant to this
   /// knob; 1 recovers one-pass-per-replicate scheduling (the ablation
   /// baseline). 0 is treated as 1.
@@ -140,29 +142,39 @@ class SkatPipeline {
   /// Steps 5-12 with the observed phenotype through the fused scoring pass
   /// and the engine's join/ReduceByKey fold: S_k⁰ per set, as Algorithm 2
   /// computes it (the permutation driver's observed pass). Builds no U
-  /// RDD; Algorithm 3 callers use EnsureUBuilt.
+  /// RDD.
   SetScores ComputeObserved();
+
+  /// Algorithm 3's observed pass as a one-column score block: per filtered
+  /// SNP, U_j = Σ_i U_ij from the fused pass (bitwise the sum of the
+  /// SNP's contributions in patient order). Folding it with the
+  /// replicates' canonical fold gives the serial oracle's observed
+  /// statistics.
+  std::unordered_map<std::uint32_t, std::vector<double>>
+  ComputeObservedScoreBlock();
 
   /// Algorithm 3's modified step 8 for a whole batch: per SNP, the signed
   /// replicate scores Ũ_jb = Σ_i Z_ib U_ij for all `count` replicates of a
   /// patient-major Z block (stats::MonteCarloZBlock layout), computed in
-  /// ONE engine pass over the cached U partitions with the blocked
-  /// stats::BatchedReplicateScores kernel. This is the only path for
-  /// Algorithm 3 statistics: the observed pass is the block with one
-  /// column of n ones (Z = 1, so Ũ_j = Σ_i U_ij exactly). The per-set
-  /// folds (steps 9-12) happen driver-side in the resampling driver, in
-  /// the serial oracle's canonical accumulation order — see
-  /// core/resampling_methods.hpp. Requires the U RDD (EnsureUBuilt
-  /// first).
+  /// ONE engine pass over the cached genotype partitions without U. The
+  /// driver turns Z into residual weights W
+  /// (stats::MakeScaledReplicateWeights) and broadcasts them; each task
+  /// then scores a SNP as Σ_l G_lj W_lb over its nonzero dosages, in
+  /// ascending patient order (stats::FactoredReplicateScores), so a row
+  /// is bitwise invariant to threads, partitioning, batching, kernel level
+  /// and cache budget. The per-set folds (steps 9-12) happen driver-side
+  /// in the resampling driver, in the serial oracle's canonical
+  /// accumulation order — see core/resampling_methods.hpp. A dosage above
+  /// 2 fails the task.
   ///
   /// `live` restricts the block to the member SNPs of those sets (null:
-  /// every set, i.e. every SNP of the U RDD). The pass broadcasts a dense
-  /// SNP-id mask of their members, still visits every cached U partition,
-  /// skips the kernel for masked-out records and returns only the
-  /// masked-in SNPs. A SNP's row depends on nothing but its own U vector
-  /// and Z, so every returned row is bitwise equal to the same row of the
-  /// full block. The Monte Carlo driver passes the sets whose stopper has
-  /// not fired.
+  /// every set, i.e. every filtered SNP). The pass broadcasts a dense
+  /// SNP-id mask of their members, still visits every genotype partition,
+  /// skips the decode and kernel for masked-out records and returns only
+  /// the masked-in SNPs. A SNP's row depends on nothing but its own
+  /// genotypes and W, so every returned row is bitwise equal to the same
+  /// row of the full block. The Monte Carlo driver passes the sets whose
+  /// stopper has not fired.
   std::unordered_map<std::uint32_t, std::vector<double>>
   ComputeMonteCarloScoreBlock(const std::vector<double>& zblock,
                               std::size_t count,
@@ -176,8 +188,9 @@ class SkatPipeline {
   /// contribute zero rows/columns and are skipped). Under the Monte Carlo
   /// null the replicate statistic is exactly Σ_m λ_m χ²₁ with λ_m the
   /// eigenvalues of this matrix — the input to the analytic tail methods
-  /// (stats/adaptive_pvalue.hpp). Materializes the U RDD
-  /// (EnsureUBuilt). The U vectors are collected to the driver, then the
+  /// (stats/adaptive_pvalue.hpp). Builds the U RDD from the genotype
+  /// partitions without caching it. The U vectors are collected to the
+  /// driver, then the
   /// Grams are computed in one engine stage ("set-gram", one task per
   /// set) with each dot product in patient order, so the matrices are
   /// bitwise independent of threads and scheduling.
@@ -195,32 +208,32 @@ class SkatPipeline {
   /// Number of patients.
   std::size_t n() const { return phenotype_.n(); }
 
-  /// Defines the observed-phenotype U RDD (steps 6-7), checkpointing and
-  /// caching it as configured (Algorithm 3 steps 1-2). Idempotent; every
-  /// Algorithm 3 observed pass and CollectSetGramMatrices call it first.
-  void EnsureUBuilt();
-
-  /// Drops the cached U RDD (between bench configurations).
-  void UnpersistContributions();
-
  private:
   /// Empty shell for OpenFromStore, which assembles the members itself
   /// (there is no SnpRecord dataset to hand the public constructor).
   SkatPipeline() = default;
 
-  /// (SNP, per-patient contributions) under `engine` — steps 6-7.
-  engine::Dataset<std::pair<std::uint32_t, std::vector<double>>> BuildU(
-      const engine::Broadcast<stats::ScoreEngine>& engine) const;
+  /// (SNP, per-patient contributions) under the observed phenotype —
+  /// steps 6-7.
+  engine::Dataset<std::pair<std::uint32_t, std::vector<double>>> BuildU()
+      const;
+
+  /// Steps 5-8 fused under `phenotype`: (SNP j, U_j) straight from the
+  /// filtered genotypes.
+  engine::Dataset<std::pair<std::uint32_t, double>> MarginalScores(
+      stats::Phenotype phenotype) const;
 
   /// Steps 5-12 under `phenotype` (Algorithm 2): the fused pass emits
-  /// (SNP j, U_j²) straight from the filtered genotypes, then the engine
-  /// joins, scatters and aggregates to per-set scores.
+  /// (SNP j, U_j), then the engine joins, squares, scatters and
+  /// aggregates to per-set scores.
   SetScores ScoreSets(stats::Phenotype phenotype) const;
 
   engine::EngineContext* ctx_ = nullptr;
   PipelineConfig config_;
 
-  engine::Dataset<simdata::SnpRecord> fgm_;  ///< Filtered genotype RDD (step 4).
+  /// Filtered genotype RDD (step 4); cached when `cache_contributions` is
+  /// set and `pack_genotypes` is not.
+  engine::Dataset<simdata::SnpRecord> fgm_;
 
   /// 2-bit packed form of fgm_ (the cached genotype format when
   /// `pack_genotypes` is set); all scoring passes decode from this instead.
@@ -236,9 +249,9 @@ class SkatPipeline {
   engine::Broadcast<std::unordered_map<std::uint32_t, std::vector<std::uint32_t>>>
       snp_to_sets_;
 
-  /// Observed-phenotype U RDD, kept so Algorithm 3 reuses it.
-  engine::Dataset<std::pair<std::uint32_t, std::vector<double>>> u_observed_;
-  bool u_built_ = false;
+  /// Observed-phenotype score engine the replicate weights come from,
+  /// built on the first score block.
+  std::shared_ptr<const stats::ScoreEngine> observed_engine_;
 
   /// Memoized DriverWeights() result.
   std::unordered_map<std::uint32_t, double> driver_weights_;

@@ -10,6 +10,7 @@
 #include "engine/codec.hpp"
 #include "simdata/text_format.hpp"
 #include "stats/kernels/packed_genotype.hpp"
+#include "stats/resampling.hpp"
 #include "stats/score_engine.hpp"
 
 namespace ss::engine::internal {
@@ -54,6 +55,13 @@ struct ApproxBytesImpl<ss::stats::ScoreEngine> {
     // Phenotype plus the Cox risk-set index (two u32 per patient).
     return ApproxBytesOf(engine.phenotype()) +
            engine.n() * 2 * sizeof(std::uint32_t);
+  }
+};
+
+template <>
+struct ApproxBytesImpl<ss::stats::ScaledReplicateWeights> {
+  static std::size_t Of(const ss::stats::ScaledReplicateWeights& weights) {
+    return sizeof(weights) + weights.scaled.capacity() * sizeof(double);
   }
 };
 

@@ -417,26 +417,14 @@ class ExceedanceTally {
   std::unordered_map<std::uint32_t, stats::SequentialStopper> stoppers_;
 };
 
-/// Algorithm 3's observed pass: the score block with one column of n ones
-/// (Z = 1), so Ũ_j = Σ_i U_ij exactly (with count = 1 every kernel level
-/// takes the scalar `acc += z·u` tail). Folding it with the replicates'
-/// canonical fold gives the serial oracle's observed statistics.
-std::unordered_map<std::uint32_t, std::vector<double>> ObservedScoreBlock(
-    SkatPipeline& pipeline) {
-  engine::TraceSpan span(engine::Tracer::Global(), "algo", "observed pass");
-  pipeline.EnsureUBuilt();
-  return pipeline.ComputeMonteCarloScoreBlock(
-      std::vector<double>(pipeline.n(), 1.0), 1);
-}
-
 /// Algorithm 3, batched: the observed pass and every batch are score
-/// blocks over the cached U RDD, folded canonically on the driver, so the
+/// blocks over the cached genotypes, folded canonically on the driver, so the
 /// whole ResamplingResult is bitwise equal to baseline::SerialMonteCarlo's
 /// analysis from the same seed, for every batch size and thread count.
 ResamplingResult RunBatchedMonteCarlo(SkatPipeline& pipeline,
                                       const ResamplingRequest& request) {
   ResamplingResult result;
-  const auto observed_block = ObservedScoreBlock(pipeline);
+  const auto observed_block = pipeline.ComputeObservedScoreBlock();
   const std::unordered_map<std::uint32_t, double>& weights =
       pipeline.DriverWeights();
   std::vector<SetScores> observed =
@@ -527,7 +515,7 @@ SkatOResult RunBatchedSkatO(SkatPipeline& pipeline,
   const std::vector<double> rho_grid = stats::SkatORhoGrid();
 
   // Observed (SKAT, burden) pair and grid per set.
-  const auto observed_block = ObservedScoreBlock(pipeline);
+  const auto observed_block = pipeline.ComputeObservedScoreBlock();
   const std::unordered_map<std::uint32_t, double>& weights =
       pipeline.DriverWeights();
   const auto observed =

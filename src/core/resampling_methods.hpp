@@ -9,22 +9,23 @@
 //     fused into one pass that never builds U). Its observed pass is
 //     SkatPipeline::ComputeObserved, the same pass and engine
 //     join/ReduceByKey fold its replicates use.
-//   * kMonteCarlo — Algorithm 3: replicates reuse the cached observed
-//     U RDD with fresh N(0,1) multipliers; only steps 8-12 re-execute.
+//   * kMonteCarlo — Algorithm 3: replicates rescore the cached genotypes
+//     with fresh N(0,1) multipliers Z, as Σ_l G_lj w_l with residual
+//     weights w = W(Z) in place of Σ_i Z_i U_ij; U is never built.
 //   * kSkatO — the SKAT-O combination assessed over the same Monte Carlo
 //     replicate pool.
 //
 // Monte Carlo (hybrid included) and SKAT-O compute the observed
-// statistics as the Z = 1 case of the replicates: one score block with a
-// unit column of n ones (SkatPipeline::ComputeMonteCarloScoreBlock),
+// statistics as a one-column score block of U_j = Σ_i U_ij from the
+// fused contributions pass (SkatPipeline::ComputeObservedScoreBlock),
 // folded by the same canonical driver-side fold as every replicate.
 //
 // All methods share one batched driver loop: replicates are scheduled in
 // batches of `ResamplingRequest::batch_size`. For the Monte Carlo methods
-// a batch is ONE engine pass — an n×R Z block is broadcast and a blocked
-// multiply-accumulate kernel computes every replicate's per-SNP scores
-// over the cached U partitions (stats::BatchedReplicateScores); the
-// per-set folds then run driver-side in the serial oracle's canonical
+// a batch is ONE engine pass — the n×R residual weights of a Z block are
+// broadcast and every replicate's per-SNP score is a sum of weight rows
+// over the SNP's carriers (SkatPipeline::ComputeMonteCarloScoreBlock);
+// the per-set folds then run driver-side in the serial oracle's canonical
 // accumulation order. Results are bitwise invariant to the batch size,
 // the thread count, and the partitioning, and the Monte Carlo
 // ResamplingResult is bitwise equal to baseline::SerialMonteCarlo from

@@ -515,7 +515,7 @@ std::unordered_map<K, V> CollectAsMap(const Dataset<std::pair<K, V>>& ds,
                                       const std::string& label = "collectAsMap") {
   std::unordered_map<K, V> out;
   for (auto& [key, value] : ds.Collect(label)) {
-    out[key] = value;
+    out.insert_or_assign(key, std::move(value));
   }
   return out;
 }

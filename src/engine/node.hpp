@@ -143,6 +143,14 @@ class Node : public NodeBase {
     return std::make_shared<const std::vector<T>>(
         ComputePartition(index, task));
   }
+
+  /// Partition `index` by value, for a stage that hands it to the driver:
+  /// a cached partition is copied out of the cache, an uncached one is
+  /// moved straight out of its computation.
+  std::vector<T> Take(std::uint32_t index, TaskContext& task) {
+    if (cache_enabled()) return *Get(index, task);
+    return ComputePartition(index, task);
+  }
 };
 
 /// The dataset whose partitions the I/O lane warms ahead of a stage over
@@ -180,10 +188,10 @@ std::vector<std::vector<T>> RunStage(Node<T>& node, const std::string& label) {
   std::vector<std::vector<T>> partitions(node.num_partitions());
   node.context()->RunTasks(label, node.num_partitions(),
                            [&](TaskContext& task) {
-                             auto part = node.Get(task.partition(), task);
-                             task.metrics().records_out = part->size();
+                             auto part = node.Take(task.partition(), task);
+                             task.metrics().records_out = part.size();
                              PhaseTimer handoff_phase(TaskPhase::kHandoff);
-                             partitions[task.partition()] = *part;
+                             partitions[task.partition()] = std::move(part);
                            },
                            PrefetchTargetChain(node));
   return partitions;

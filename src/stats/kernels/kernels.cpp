@@ -1,5 +1,6 @@
 #include "stats/kernels/kernels.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 
@@ -75,11 +76,43 @@ void SkatBurdenFoldScalar(const double* scores, std::size_t count,
   }
 }
 
+void GenotypeMacScalar(const std::uint8_t* dosages, std::size_t n,
+                       const double* scaled, std::size_t count, double* out) {
+  std::fill(out, out + count, 0.0);
+  std::size_t offsets[kGenotypeChunk];
+  for (std::size_t begin = 0; begin < n; begin += kGenotypeChunk) {
+    const std::size_t m = GenotypeRowOffsets(
+        dosages, begin, std::min(n, begin + kGenotypeChunk), n, count,
+        offsets);
+    std::size_t r = 0;
+    // Four replicates per pass: each row offset feeds four accumulators.
+    for (; r + 4 <= count; r += 4) {
+      double acc0 = out[r + 0];
+      double acc1 = out[r + 1];
+      double acc2 = out[r + 2];
+      double acc3 = out[r + 3];
+      for (std::size_t k = 0; k < m; ++k) {
+        const double* row = scaled + offsets[k] + r;
+        acc0 += row[0];
+        acc1 += row[1];
+        acc2 += row[2];
+        acc3 += row[3];
+      }
+      out[r + 0] = acc0;
+      out[r + 1] = acc1;
+      out[r + 2] = acc2;
+      out[r + 3] = acc3;
+    }
+    AddRowsScalar(scaled + r, offsets, m, count - r, out + r);
+  }
+}
+
 const KernelTable kScalarTable = {
     &BatchedMacScalar,
     &CoxScanScalar,
     &SkatFoldScalar,
     &SkatBurdenFoldScalar,
+    &GenotypeMacScalar,
 };
 
 }  // namespace internal

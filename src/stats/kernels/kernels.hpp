@@ -1,8 +1,9 @@
 // Runtime-dispatched compute kernels for the resampling hot paths.
 //
-// The three loops that dominate resampling wall-clock — the batched Monte
-// Carlo multiply-accumulate, the Cox score contribution scan, and the
-// per-set SKAT weighted folds — are routed through a function-pointer
+// The loops that dominate resampling wall-clock — the factored Monte
+// Carlo genotype sum, the batched multiply-accumulate over contributions,
+// the Cox score contribution scan, and the per-set SKAT weighted folds —
+// are routed through a function-pointer
 // table selected once per process from the best instruction set the CPU
 // supports (scalar / SSE2 / AVX2). Every SIMD variant preserves the
 // scalar kernel's per-element accumulation order bit for bit: lanes map
@@ -78,10 +79,22 @@ struct KernelTable {
                                     double weight, double weight_sq,
                                     double* skat, double* burden);
 
+  /// Factored Monte Carlo scores of one SNP:
+  ///   out[r] = sum over l with dosages[l] != 0 of
+  ///            scaled[(dosages[l] - 1)*n*count + l*count + r],
+  /// summed in ascending l per replicate. `scaled` stacks two
+  /// patient-major n×count blocks, the residual weights W and 2·W, so a
+  /// row is prescaled by the dosage that selects it and the loop only
+  /// adds; zero dosages are skipped. Dosages must be 0, 1 or 2.
+  using GenotypeMacFn = void (*)(const std::uint8_t* dosages, std::size_t n,
+                                 const double* scaled, std::size_t count,
+                                 double* out);
+
   BatchedMacFn batched_mac = nullptr;
   CoxScanFn cox_scan = nullptr;
   SkatFoldFn skat_fold = nullptr;
   SkatBurdenFoldFn skat_burden_fold = nullptr;
+  GenotypeMacFn genotype_mac = nullptr;
 };
 
 /// The table for the active dispatch level.

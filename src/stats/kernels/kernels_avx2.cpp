@@ -15,6 +15,7 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cstring>
 
 namespace ss::stats::kernels::internal {
@@ -126,6 +127,46 @@ void SkatBurdenFoldAvx2(const double* scores, std::size_t count, double weight,
   }
 }
 
+/// out[0 .. 4·kVectors) += the `m` rows at `offsets`, kVectors
+/// independent 4-lane chains.
+template <int kVectors>
+void AddRowsAvx2(const double* scaled, const std::size_t* offsets,
+                 std::size_t m, double* out) {
+  __m256d acc[kVectors];
+  for (int g = 0; g < kVectors; ++g) acc[g] = _mm256_loadu_pd(out + 4 * g);
+  for (std::size_t k = 0; k < m; ++k) {
+    const double* row = scaled + offsets[k];
+    for (int g = 0; g < kVectors; ++g) {
+      acc[g] = _mm256_add_pd(acc[g], _mm256_loadu_pd(row + 4 * g));
+    }
+  }
+  for (int g = 0; g < kVectors; ++g) _mm256_storeu_pd(out + 4 * g, acc[g]);
+}
+
+void GenotypeMacAvx2(const std::uint8_t* dosages, std::size_t n,
+                     const double* scaled, std::size_t count, double* out) {
+  std::fill(out, out + count, 0.0);
+  std::size_t offsets[kGenotypeChunk];
+  for (std::size_t begin = 0; begin < n; begin += kGenotypeChunk) {
+    const std::size_t m = GenotypeRowOffsets(
+        dosages, begin, std::min(n, begin + kGenotypeChunk), n, count,
+        offsets);
+    std::size_t r = 0;
+    // 32 replicates (eight chains) per pass over the offsets, then 16 and
+    // 4, then the scalar tail.
+    for (; r + 32 <= count; r += 32) {
+      AddRowsAvx2<8>(scaled + r, offsets, m, out + r);
+    }
+    for (; r + 16 <= count; r += 16) {
+      AddRowsAvx2<4>(scaled + r, offsets, m, out + r);
+    }
+    for (; r + 4 <= count; r += 4) {
+      AddRowsAvx2<1>(scaled + r, offsets, m, out + r);
+    }
+    AddRowsScalar(scaled + r, offsets, m, count - r, out + r);
+  }
+}
+
 }  // namespace
 
 const KernelTable kAvx2Table = {
@@ -133,6 +174,7 @@ const KernelTable kAvx2Table = {
     &CoxScanAvx2,
     &SkatFoldAvx2,
     &SkatBurdenFoldAvx2,
+    &GenotypeMacAvx2,
 };
 
 }  // namespace ss::stats::kernels::internal

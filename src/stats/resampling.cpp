@@ -1,5 +1,7 @@
 #include "stats/resampling.hpp"
 
+#include <algorithm>
+
 #include "stats/kernels/kernels.hpp"
 #include "support/distributions.hpp"
 #include "support/status.hpp"
@@ -63,6 +65,39 @@ void BatchedReplicateScores(const std::vector<double>& contributions,
   // the dispatch table selects it or a bitwise-identical SIMD variant.
   kernels::ActiveKernels().batched_mac(contributions.data(), n, zblock, count,
                                        out->data());
+}
+
+ScaledReplicateWeights MakeScaledReplicateWeights(
+    const ScoreEngine& engine, const std::vector<double>& zblock,
+    std::size_t count) {
+  const std::size_t n = engine.n();
+  SS_CHECK(zblock.size() == n * count);
+  ScaledReplicateWeights weights;
+  weights.n = n;
+  weights.count = count;
+  weights.scaled.reserve(2 * n * count);
+  engine.ReplicateWeightsInto(zblock.data(), count, &weights.scaled);
+  const std::size_t block = n * count;
+  weights.scaled.resize(2 * block);
+  for (std::size_t k = 0; k < block; ++k) {
+    weights.scaled[block + k] = 2.0 * weights.scaled[k];
+  }
+  return weights;
+}
+
+bool FactoredReplicateScores(const std::vector<std::uint8_t>& dosages,
+                             const ScaledReplicateWeights& weights,
+                             std::vector<double>* out) {
+  SS_CHECK(dosages.size() == weights.n);
+  if (std::any_of(dosages.begin(), dosages.end(),
+                  [](std::uint8_t d) { return d > 2; })) {
+    return false;
+  }
+  out->resize(weights.count);
+  kernels::ActiveKernels().genotype_mac(dosages.data(), weights.n,
+                                        weights.scaled.data(), weights.count,
+                                        out->data());
+  return true;
 }
 
 }  // namespace ss::stats

@@ -5,11 +5,14 @@
 //   * PermutationPlan: B random shufflings of the phenotype pairs
 //     (Algorithm 2 step 2).
 //   * MonteCarloWeights: B x n standard-normal multipliers Z_i (Lin 2005;
-//     Algorithm 3 step 3), applied as Ũ_j = Σ_i Z_i U_ij.
+//     Algorithm 3 step 3), applied as Ũ_j = Σ_i Z_i U_ij — which the
+//     factored form below evaluates as Σ_l G_lj w_l from the genotypes.
 #pragma once
 
 #include <cstdint>
 #include <vector>
+
+#include "stats/score_engine.hpp"
 
 namespace ss::stats {
 
@@ -74,5 +77,32 @@ std::vector<double> MonteCarloZBlock(std::uint64_t seed, std::size_t n,
 void BatchedReplicateScores(const std::vector<double>& contributions,
                             const double* zblock, std::size_t count,
                             std::vector<double>* out);
+
+/// One batch's residual weights (ScoreEngine::ReplicateWeightsInto),
+/// prescaled for the factored kernel: `scaled` stacks two patient-major
+/// n×count blocks, W and then 2·W. Multiplying by 2 is exact, so a
+/// dosage-2 row is bitwise 2·w.
+struct ScaledReplicateWeights {
+  std::size_t n = 0;
+  std::size_t count = 0;
+  std::vector<double> scaled;
+};
+
+/// The weights of `engine`'s phenotype for a patient-major Z block of
+/// `count` columns (MonteCarloZBlock layout).
+ScaledReplicateWeights MakeScaledReplicateWeights(
+    const ScoreEngine& engine, const std::vector<double>& zblock,
+    std::size_t count);
+
+/// Factored Monte Carlo scores of one SNP: out[r] = Σ_l G_l W_lr over the
+/// patients with nonzero dosage, in ascending patient order (the routed
+/// KernelTable::genotype_mac). Equal to Σ_i Z_ir U_ij up to rounding; for
+/// Gaussian and Binomial scores with dosages 0-2 bitwise equal to
+/// BatchedReplicateScores on the SNP's contributions. Column r depends
+/// only on Z's column r, so results are invariant to batching. Returns
+/// false, leaving `out` unspecified, when a dosage exceeds 2.
+bool FactoredReplicateScores(const std::vector<std::uint8_t>& dosages,
+                             const ScaledReplicateWeights& weights,
+                             std::vector<double>* out);
 
 }  // namespace ss::stats

@@ -72,9 +72,9 @@ ScoreEngine::ScoreEngine(Phenotype phenotype, bool paper_faithful)
     : phenotype_(std::move(phenotype)), paper_faithful_(paper_faithful) {
   switch (phenotype_.model) {
     case ScoreModel::kCox:
-      if (!paper_faithful_) {
-        risk_index_ = std::make_unique<RiskSetIndex>(phenotype_.survival);
-      }
+      // The faithful contributions ignore it, but the replicate weights
+      // need b_i and the time order in either mode.
+      risk_index_ = std::make_unique<RiskSetIndex>(phenotype_.survival);
       break;
     case ScoreModel::kGaussian:
       center_ = phenotype_.quantitative.Mean();
@@ -113,6 +113,54 @@ void ScoreEngine::ContributionsInto(const std::vector<std::uint8_t>& genotypes,
       LogisticScoreContributionsInto(phenotype_.binary, center_, genotypes,
                                      out);
       return;
+  }
+}
+
+void ScoreEngine::ReplicateWeightsInto(const double* zblock, std::size_t count,
+                                       std::vector<double>* out) const {
+  const std::size_t n = this->n();
+  out->resize(n * count);
+  double* w = out->data();
+  if (phenotype_.model != ScoreModel::kCox) {
+    for (std::size_t l = 0; l < n; ++l) {
+      // The same residual the contributions multiply G by.
+      const double residual =
+          phenotype_.model == ScoreModel::kGaussian
+              ? phenotype_.quantitative.value[l] - center_
+              : static_cast<double>(phenotype_.binary.value[l]) - center_;
+      for (std::size_t r = 0; r < count; ++r) {
+        w[l * count + r] = zblock[l * count + r] * residual;
+      }
+    }
+    return;
+  }
+  // Walk the risk index's time-descending order backwards, one tied-time
+  // group [begin, end) at a time: every member's risk set is the first
+  // `end` sorted entries, so b = end, and the group's own events enter
+  // the running hazard Σ z_i Δ_i / b_i before its weights are written.
+  const std::vector<std::uint32_t>& order = risk_index_->order();
+  const std::vector<std::uint8_t>& event = phenotype_.survival.event;
+  std::vector<double> hazard(count, 0.0);
+  std::size_t end = n;
+  while (end > 0) {
+    std::size_t begin = end - 1;
+    while (begin > 0 && risk_index_->prefix_end(order[begin - 1]) == end) {
+      --begin;
+    }
+    const double b = static_cast<double>(end);
+    for (std::size_t k = begin; k < end; ++k) {
+      if (event[order[k]] == 0) continue;
+      const double* z = zblock + order[k] * count;
+      for (std::size_t r = 0; r < count; ++r) hazard[r] += z[r] / b;
+    }
+    for (std::size_t k = begin; k < end; ++k) {
+      const std::size_t l = order[k];
+      const double* z = zblock + l * count;
+      for (std::size_t r = 0; r < count; ++r) {
+        w[l * count + r] = (event[l] != 0 ? z[r] : 0.0) - hazard[r];
+      }
+    }
+    end = begin;
   }
 }
 

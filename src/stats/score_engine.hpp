@@ -8,6 +8,12 @@
 // Binomial), and then maps any SNP's genotype vector to per-patient score
 // contributions U_ij in O(n).
 //
+// Every model's score is linear in the genotypes once the phenotype is
+// fixed, so a Monte Carlo replicate Σ_i Z_i U_ij equals Σ_l G_lj w_l for
+// per-patient residual weights w that do not depend on the SNP
+// (ReplicateWeightsInto): Algorithm 3 scores genotypes against those
+// weights and never materializes U.
+//
 // Instances are immutable after construction and safe to share across
 // executor threads (they are broadcast to all tasks by the pipeline).
 #pragma once
@@ -71,6 +77,16 @@ class ScoreEngine {
   void ContributionsInto(const std::vector<std::uint8_t>& genotypes,
                          std::vector<double>* scratch,
                          std::vector<double>* out) const;
+
+  /// Residual weights W for a patient-major block of `count` Monte Carlo
+  /// multiplier columns (stats::MonteCarloZBlock layout, n·count values):
+  /// out[l·count + r] = w_lr with Σ_i Z_ir U_ij = Σ_l G_lj w_lr for every
+  /// SNP j. Gaussian and Binomial: w = z∘r with r the centred phenotype.
+  /// Cox: w_l = z_l Δ_l − Σ_{i: Y_i ≤ Y_l} z_i Δ_i / b_i (martingale
+  /// residuals), one prefix sum per column in ascending time with tied
+  /// times added as a group. Column r depends only on Z's column r.
+  void ReplicateWeightsInto(const double* zblock, std::size_t count,
+                            std::vector<double>* out) const;
 
  private:
   Phenotype phenotype_;

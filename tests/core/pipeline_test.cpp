@@ -146,11 +146,9 @@ TEST(SkatPipelineTest, MonteCarloReplicateMatchesSerial) {
   PipelineConfig config;
   config.seed = seed;
   SkatPipeline pipeline = SkatPipeline::FromMemory(ctx, dataset, config);
-  pipeline.EnsureUBuilt();
-  // The observed statistic is the Z = 1 block.
-  const std::vector<double> observed = FoldBlock(
-      dataset, pipeline.ComputeMonteCarloScoreBlock(
-                   std::vector<double>(pipeline.n(), 1.0), 1));
+  // The observed statistic is the fused pass's one-column block.
+  const std::vector<double> observed =
+      FoldBlock(dataset, pipeline.ComputeObservedScoreBlock());
   EXPECT_EQ(observed, serial.observed);
   std::vector<std::uint64_t> exceed(dataset.sets.size(), 0);
   for (std::size_t b = 0; b < 7; ++b) {
@@ -198,7 +196,6 @@ TEST(SkatPipelineTest, CachingConfigControlsCacheUse) {
     PipelineConfig config;
     config.cache_contributions = true;
     SkatPipeline pipeline = SkatPipeline::FromMemory(ctx, dataset, config);
-    pipeline.EnsureUBuilt();  // ComputeObserved scores without U
     pipeline.ComputeObserved();
     EXPECT_GT(ctx.cache().stats().insertions, 0u);
     const auto before = ctx.cache().stats().hits;
@@ -215,17 +212,16 @@ TEST(SkatPipelineTest, CachingConfigControlsCacheUse) {
     EXPECT_EQ(ctx.cache().stats().insertions, 0u);
   }
   // A score block over some of the sets holds exactly their member SNPs,
-  // each row bitwise equal to the full block's, whether U stays resident
-  // (unlimited budget) or a tight budget evicts it and recomputes it
-  // from lineage between the two passes.
+  // each row bitwise equal to the full block's, whether the genotypes stay
+  // resident (unlimited budget) or a tight budget evicts them and
+  // recomputes them from lineage between the two passes.
   std::uint64_t unlimited_misses = 0;
-  for (std::uint64_t budget : {std::uint64_t{0}, std::uint64_t{8000}}) {
+  for (std::uint64_t budget : {std::uint64_t{0}, std::uint64_t{500}}) {
     SCOPED_TRACE("budget=" + std::to_string(budget));
     engine::EngineContext ctx(LocalOptions());
     PipelineConfig config;
     config.cache_budget_bytes = budget;
     SkatPipeline pipeline = SkatPipeline::FromMemory(ctx, dataset, config);
-    pipeline.EnsureUBuilt();
     const std::vector<double> zblock =
         stats::MonteCarloZBlock(config.seed, pipeline.n(), 0, 3);
     const auto full = pipeline.ComputeMonteCarloScoreBlock(zblock, 3);
@@ -261,11 +257,18 @@ TEST(SkatPipelineTest, CachingConfigControlsCacheUse) {
   }
 }
 
-TEST(SkatPipelineTest, MonteCarloRequiresObservedFirst) {
+TEST(SkatPipelineTest, MonteCarloBlockNeedsNoObservedPass) {
+  // A score block reads only the genotypes and the batch's weights, so a
+  // fresh pipeline scores it exactly as one whose observed pass ran.
   const simdata::SyntheticDataset dataset = SmallDataset();
+  engine::EngineContext fresh_ctx(LocalOptions());
+  SkatPipeline fresh = SkatPipeline::FromMemory(fresh_ctx, dataset, {});
+  const auto first = ReplicateBlock(fresh, 0, 0);
   engine::EngineContext ctx(LocalOptions());
   SkatPipeline pipeline = SkatPipeline::FromMemory(ctx, dataset, {});
-  EXPECT_DEATH(ReplicateBlock(pipeline, 0, 0), "u_built_");
+  pipeline.ComputeObserved();
+  EXPECT_EQ(ReplicateBlock(pipeline, 0, 0), first);
+  EXPECT_FALSE(first.empty());
 }
 
 TEST(SkatPipelineTest, GaussianStudyThroughDfs) {

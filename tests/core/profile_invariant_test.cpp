@@ -48,9 +48,9 @@ CellRun RunCell(const Cell& cell, bool profile) {
   options.physical_threads = cell.threads;
   options.seed = 99;
   if (cell.tight) {
-    // ~6 KB holds roughly one U partition of this study, forcing constant
-    // eviction and recompute (same sizing as the soak matrix).
-    options.cache_capacity_bytes = 6000;
+    // ~1 KB holds roughly one genotype partition of this study, forcing
+    // constant eviction and recompute (same sizing as the soak matrix).
+    options.cache_capacity_bytes = 1000;
   }
   engine::EngineContext ctx(options);
 

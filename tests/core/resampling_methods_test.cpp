@@ -304,8 +304,9 @@ TEST(ResamplingMethodsTest, AdaptiveStopPointsMatchSerialOracle) {
   RunWithRequest(dataset, legacy, 0, 4);
   const std::uint64_t legacy_work =
       Counter("resampling.snp_replicates") - before;
-  // Unit-Z observed pass plus B replicates over every SNP in some set.
-  EXPECT_EQ(legacy_work, member_count(dataset.sets) * (kReplicates + 1));
+  // B replicates over every SNP in some set (the observed pass is the
+  // fused contributions pass, not a score block).
+  EXPECT_EQ(legacy_work, member_count(dataset.sets) * kReplicates);
 
   for (PValueMethod pmethod : {PValueMethod::kHybrid,
                                PValueMethod::kResampling}) {
@@ -356,7 +357,7 @@ TEST(ResamplingMethodsTest, AdaptiveStopPointsMatchSerialOracle) {
     EXPECT_GE(stopped, 1u);
 
     // Each batch scores exactly the members of the sets live at its start.
-    std::uint64_t expected_work = member_count(dataset.sets);  // observed
+    std::uint64_t expected_work = 0;
     for (std::uint64_t begin = 0; begin < kReplicates; begin += kBatch) {
       std::vector<stats::SnpSet> live;
       for (std::size_t k = 0; k < dataset.sets.size(); ++k) {

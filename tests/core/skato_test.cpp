@@ -98,7 +98,6 @@ TEST(SkatOPipelineTest, ReplicatePairMatchesDirect) {
   PipelineConfig config;
   config.seed = 91;
   SkatPipeline pipeline = SkatPipeline::FromMemory(ctx, dataset, config);
-  pipeline.EnsureUBuilt();
 
   // Replicate 0's one-column Z block is MonteCarloWeights::Get(0).
   const stats::MonteCarloWeights weights(config.seed, dataset.survival.n(), 1);

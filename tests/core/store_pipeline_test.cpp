@@ -120,7 +120,7 @@ TEST(StorePipelineTest, ResultHashInvariantAcrossBackingsThreadsPrefetch) {
       }
       {  // In-memory, budget small enough to churn evict + recompute.
         engine::EngineContext::Options options = LocalOptions(threads);
-        options.cache_capacity_bytes = 6000;
+        options.cache_capacity_bytes = 1000;
         engine::EngineContext ctx(options);
         SkatPipeline pipeline = SkatPipeline::FromMemory(
             ctx, simdata::Generate(generator), StudyPipelineConfig());
@@ -129,7 +129,7 @@ TEST(StorePipelineTest, ResultHashInvariantAcrossBackingsThreadsPrefetch) {
       {  // Store-backed under the same tight budget (drop-on-evict path).
         engine::EngineContext ctx(LocalOptions(threads));
         PipelineConfig config = StudyPipelineConfig();
-        config.cache_budget_bytes = 6000;
+        config.cache_budget_bytes = 1000;
         auto opened = SkatPipeline::OpenFromStore(
             ctx, path, config, simdata::StoreFingerprint(generator));
         ASSERT_TRUE(opened.ok()) << cell << ": " << opened.status().ToString();
@@ -314,6 +314,29 @@ TEST(StorePipelineTest, PermutationCachesOnlyThePackedGenotypes) {
   EXPECT_EQ(ctx.cache().entry_count(), store.value()->num_partitions());
   EXPECT_LE(ctx.cache().stats().bytes_cached,
             frame_bytes + records * sizeof(stats::PackedSnpRecord));
+}
+
+TEST(StorePipelineTest, MonteCarloCachesOnlyThePackedGenotypes) {
+  // Monte Carlo, SKAT-O and hybrid refinement score replicates from the
+  // genotypes and per-replicate weights, so the decoded genotype
+  // partitions are the only cache entries: no U partition is admitted
+  // (the hybrid screen's Gram builds U for one collect and drops it).
+  const std::string path = StageStore("ss_store_montecarlo_cache.ssg", 4);
+  auto store = dfs::GenotypeStore::Open(path);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  ResamplingRequest hybrid(ResamplingMethod::kMonteCarlo, 16);
+  hybrid.pvalue_method = PValueMethod::kHybrid;
+  hybrid.refine_threshold = 0.5;
+  for (const ResamplingRequest& request :
+       {ResamplingRequest(ResamplingMethod::kMonteCarlo, 16),
+        ResamplingRequest(ResamplingMethod::kSkatO, 16), hybrid}) {
+    engine::EngineContext ctx(LocalOptions());
+    auto opened = SkatPipeline::OpenFromStore(ctx, path, StudyPipelineConfig());
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    RunResampling(opened.value(), request);
+    EXPECT_EQ(ctx.cache().entry_count(), store.value()->num_partitions());
+    EXPECT_EQ(ctx.cache().stats().insertions, store.value()->num_partitions());
+  }
 }
 
 }  // namespace

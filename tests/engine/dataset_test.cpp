@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <numeric>
 
 #include "cluster/topology.hpp"
@@ -165,6 +166,55 @@ TEST(DatasetTest, MetricsRecordStages) {
   EXPECT_EQ(stages[0].label, "my-stage");
   EXPECT_EQ(stages[0].task_seconds.size(), 2u);
   EXPECT_EQ(stages[0].records_out, 10u);
+}
+
+/// A value that counts its copies (moves are free), standing in for a
+/// score-block row: an n-vector the driver must not duplicate.
+struct CopyCounted {
+  static inline std::atomic<int> copies{0};
+  int value = 0;
+  explicit CopyCounted(int v) : value(v) {}
+  CopyCounted(const CopyCounted& other) : value(other.value) { ++copies; }
+  CopyCounted(CopyCounted&&) noexcept = default;
+  CopyCounted& operator=(const CopyCounted& other) {
+    value = other.value;
+    ++copies;
+    return *this;
+  }
+  CopyCounted& operator=(CopyCounted&&) noexcept = default;
+};
+
+}  // namespace
+
+namespace internal {
+template <>
+struct ApproxBytesImpl<CopyCounted> {
+  static std::size_t Of(const CopyCounted&) { return sizeof(CopyCounted); }
+};
+}  // namespace internal
+
+namespace {
+
+TEST(DatasetTest, CollectAsMapMovesUncachedValues) {
+  // An uncached partition goes from its task to the driver's map without
+  // a copy; a duplicate key keeps the last value seen.
+  EngineContext ctx(LocalOptions());
+  auto rows = Parallelize(ctx, Ints(40), 4).Map([](const int& x) {
+    return std::pair<int, CopyCounted>(x % 30, CopyCounted(x));
+  });
+  CopyCounted::copies = 0;
+  const auto map = CollectAsMap(rows);
+  EXPECT_EQ(CopyCounted::copies.load(), 0);
+  ASSERT_EQ(map.size(), 30u);
+  EXPECT_EQ(map.at(5).value, 35);
+  EXPECT_EQ(map.at(29).value, 29);
+
+  // A cached partition stays in the cache, so the driver copies it once.
+  rows.Cache();
+  CollectAsMap(rows);
+  CopyCounted::copies = 0;
+  EXPECT_EQ(CollectAsMap(rows).size(), 30u);
+  EXPECT_EQ(CopyCounted::copies.load(), 40);
 }
 
 TEST(StageReportTest, ListsStagesWithMetrics) {

@@ -156,6 +156,66 @@ TEST(DeterminismTest, PermutationResultHashPinnedAcrossThreadsPackingBudget) {
   }
 }
 
+/// `resampling.result_hash` of a 30-replicate Monte Carlo run on
+/// FixedDataset(), scored by the factored pass (genotypes × per-replicate
+/// residual weights, no U).
+constexpr std::uint64_t kMonteCarloResultHash = 0xc51a6a6525200da4ULL;
+
+std::uint64_t MonteCarloResultHash(std::size_t threads, std::uint64_t batch,
+                                   int prefetch, std::uint64_t budget,
+                                   const simdata::SyntheticDataset& dataset) {
+  engine::EngineContext::Options options = OptionsWithThreads(threads);
+  options.cache_capacity_bytes = budget;
+  engine::EngineContext ctx(options);
+  PipelineConfig config;
+  config.seed = kSeed;
+  config.resampling_batch_size = batch;
+  config.cache_budget_bytes = budget;
+  SkatPipeline pipeline = SkatPipeline::FromMemory(ctx, dataset, config);
+  ResamplingRequest request(ResamplingMethod::kMonteCarlo, 30);
+  engine::ExecConfig exec;
+  exec.prefetch_depth = prefetch;
+  request.exec = exec;
+  std::atomic<std::uint64_t>& hash =
+      engine::CounterRegistry::Global().Get("resampling.result_hash");
+  const std::uint64_t before = hash.load();
+  RunResampling(pipeline, request);
+  return hash.load() - before;
+}
+
+TEST(DeterminismTest, MonteCarloResultHashPinnedAcrossTheMatrix) {
+  // threads {1,4} x batch {1,7,32} x kernel level x prefetch {0,2} x
+  // budget {unlimited, tight enough to evict}: every cell reproduces the
+  // pinned hash.
+  const simdata::SyntheticDataset dataset = FixedDataset();
+  const stats::kernels::DispatchLevel saved =
+      stats::kernels::ActiveDispatchLevel();
+  const int best = static_cast<int>(stats::kernels::BestSupportedLevel());
+  for (int level = 0; level <= best; ++level) {
+    stats::kernels::SetDispatchLevel(
+        static_cast<stats::kernels::DispatchLevel>(level));
+    for (std::size_t threads : {1u, 4u}) {
+      for (std::uint64_t batch : {1u, 7u, 32u}) {
+        for (int prefetch : {0, 2}) {
+          for (std::uint64_t budget : {0u, 512u}) {
+            SCOPED_TRACE(std::string("level=") +
+                         stats::kernels::DispatchLevelName(
+                             stats::kernels::ActiveDispatchLevel()) +
+                         " threads=" + std::to_string(threads) +
+                         " batch=" + std::to_string(batch) +
+                         " prefetch=" + std::to_string(prefetch) +
+                         " budget=" + std::to_string(budget));
+            EXPECT_EQ(MonteCarloResultHash(threads, batch, prefetch, budget,
+                                           dataset),
+                      kMonteCarloResultHash);
+          }
+        }
+      }
+    }
+  }
+  stats::kernels::SetDispatchLevel(saved);
+}
+
 TEST(DeterminismTest, ThreadCountDoesNotLeakIntoPValues) {
   const simdata::SyntheticDataset dataset = FixedDataset();
   const ResamplingResult serial = RunMonteCarlo(1, 15, dataset);

@@ -83,7 +83,7 @@ std::uint64_t RunAndHash(const RunConfig& run,
 }
 
 TEST(ExecutorDeterminismTest, ResultHashInvariantAcrossTheMatrix) {
-  // prefetch {0,1,2} x threads {1,4} x batch {1,64} x budget {0,4096}:
+  // prefetch {0,1,2} x threads {1,4} x batch {1,64} x budget {0,512}:
   // every cell must reproduce the ablated single-thread hash bit for bit.
   const simdata::SyntheticDataset dataset = FixedDataset();
   RunConfig reference;
@@ -94,7 +94,7 @@ TEST(ExecutorDeterminismTest, ResultHashInvariantAcrossTheMatrix) {
   for (int prefetch : {0, 1, 2}) {
     for (std::size_t threads : {1u, 4u}) {
       for (std::uint64_t batch : {1u, 64u}) {
-        for (std::uint64_t budget : {0u, 4096u}) {
+        for (std::uint64_t budget : {0u, 512u}) {
           RunConfig run;
           run.exec.prefetch_depth = prefetch;
           run.exec.io_threads = 2;
@@ -153,7 +153,7 @@ TEST(ExecutorDeterminismTest, InMemoryLineageIssuesNoPrefetches) {
   RunConfig run;
   run.exec.prefetch_depth = 2;
   run.batch = 4;
-  run.cache_budget = 4096;
+  run.cache_budget = 512;
   RunAndHash(run, dataset);
   EXPECT_GT(Counter("exec.channel_stages"), 0u);
   EXPECT_GT(Counter("cache.evictions"), 0u);
@@ -187,7 +187,7 @@ TEST(ExecutorShutdownTest, TeardownWhilePrefetchingIsSafe) {
     RunConfig run;
     run.exec.prefetch_depth = 2;
     run.exec.io_threads = 2;
-    run.cache_budget = 4096;  // keep eviction/prefetch traffic flowing
+    run.cache_budget = 512;  // keep eviction/prefetch traffic flowing
     RunAndHash(run, dataset);
   }  // context destroyed with the lane potentially mid-prefetch
 }

@@ -209,10 +209,11 @@ std::string SoakCellName(const SoakCell& cell) {
 }
 
 TEST(CacheSoakMatrix, EveryCellBitwiseEqualsUnlimitedMemoryRun) {
-  // ~6 KB holds roughly one U partition of this study (40 patients x 15
-  // SNPs per partition), forcing constant eviction; 1 byte evicts all but
-  // the most recent entry ("zero" budget — capacity 0 means unlimited).
-  constexpr std::uint64_t kTight = 6000;
+  // ~1 KB holds roughly one cached genotype partition of this study (40
+  // patients x 15 SNPs per partition, packed or not), forcing constant
+  // eviction; 1 byte evicts all but the most recent entry ("zero" budget —
+  // capacity 0 means unlimited).
+  constexpr std::uint64_t kTight = 1000;
   constexpr std::uint64_t kBudgets[] = {0, kTight, 1};
   std::vector<std::uint64_t> failing_seeds;
 
@@ -269,7 +270,7 @@ TEST(CacheSoakMatrix, TightBudgetActuallyEvictsAndRecomputes) {
 
   const std::uint64_t evictions_before = evictions.load();
   computes_before = computes.load();
-  RunSoakCell(7, SoakCell{/*budget=*/6000});
+  RunSoakCell(7, SoakCell{/*budget=*/1000});
   EXPECT_GT(evictions.load(), evictions_before);
   EXPECT_GT(computes.load() - computes_before, cached_partitions);
 }

@@ -201,11 +201,11 @@ TEST(EndToEndTest, ResultExportRoundTripsThroughDfs) {
 }
 
 TEST(EndToEndTest, MonteCarloReusesWorkAcrossReplicates) {
-  // The cached-U speedup (Fig 4/5): MC replicates must not recompute the
-  // genotype -> U lineage. Verified structurally via cache hit counts.
-  // With batching, each engine pass serves a whole batch, so the cached U
-  // is read once per batch (here 20 replicates / batch=4 = 5 batches)
-  // instead of once per replicate — strictly fewer reads, never a rebuild.
+  // The caching speedup (Fig 4/5): MC replicates must not recompute the
+  // genotype lineage. Verified structurally via cache hit counts. With
+  // batching, each engine pass serves a whole batch, so the cached
+  // genotypes are read once per batch (here 20 replicates / batch=4 = 5
+  // batches) instead of once per replicate — never a rebuild.
   const simdata::SyntheticDataset dataset = simdata::Generate(StudyConfig());
   engine::EngineContext ctx(LocalOptions());
   core::PipelineConfig config;
@@ -215,10 +215,10 @@ TEST(EndToEndTest, MonteCarloReusesWorkAcrossReplicates) {
       core::SkatPipeline::FromMemory(ctx, dataset, config);
   core::RunResampling(pipeline, {core::ResamplingMethod::kMonteCarlo, 20}).scores;
   const auto stats = ctx.cache().stats();
-  // One insertion per U partition plus one per packed-genotype partition
-  // (both datasets are cached); >= 5 batches * partitions hits, and no
-  // re-insertions (the lineage was never recomputed).
-  EXPECT_EQ(stats.insertions, 8u);
+  // One insertion per packed-genotype partition (no U is built, let alone
+  // cached); >= 5 batches * partitions hits, and no re-insertions (the
+  // lineage was never recomputed).
+  EXPECT_EQ(stats.insertions, 4u);
   EXPECT_GE(stats.hits, 20u);
 }
 

@@ -108,6 +108,46 @@ TEST(KernelDifferentialTest, BatchedMacBitwiseEqualAcrossLevels) {
   }
 }
 
+TEST(KernelDifferentialTest, GenotypeMacBitwiseEqualAcrossLevels) {
+  // Every level against the definition: each lane adds the dosage-selected
+  // row of [W ; 2W] for the nonzero dosages, in ascending patient order.
+  // n crosses the 256-patient compaction chunk; counts cover every lane
+  // block and tail.
+  Rng rng(20160806);
+  for (std::size_t n : {1u, 2u, 5u, 64u, 255u, 256u, 257u, 600u}) {
+    for (std::size_t count :
+         {1u, 2u, 3u, 4u, 5u, 15u, 16u, 17u, 31u, 32u, 33u, 37u, 64u}) {
+      std::vector<std::uint8_t> dosages(n);
+      for (std::uint8_t& d : dosages) {
+        d = static_cast<std::uint8_t>(rng.NextBounded(3));
+      }
+      std::vector<double> scaled = RandomDoubles(rng, n * count);
+      scaled.resize(2 * n * count);
+      for (std::size_t k = 0; k < n * count; ++k) {
+        scaled[n * count + k] = 2.0 * scaled[k];
+      }
+      std::vector<double> expected(count, 0.0);
+      for (std::size_t l = 0; l < n; ++l) {
+        if (dosages[l] == 0) continue;
+        const double* row = scaled.data() + (dosages[l] - 1) * n * count +
+                            l * count;
+        for (std::size_t r = 0; r < count; ++r) expected[r] += row[r];
+      }
+      for (DispatchLevel level : ExecutableLevels()) {
+        std::vector<double> got(count, -1.0);
+        kernels::KernelsFor(level).genotype_mac(dosages.data(), n,
+                                                scaled.data(), count,
+                                                got.data());
+        for (std::size_t r = 0; r < count; ++r) {
+          ASSERT_EQ(Bits(got[r]), Bits(expected[r]))
+              << "level=" << kernels::DispatchLevelName(level) << " n=" << n
+              << " count=" << count << " r=" << r;
+        }
+      }
+    }
+  }
+}
+
 TEST(KernelDifferentialTest, CoxScanBitwiseEqualAcrossLevels) {
   const kernels::KernelTable& scalar =
       kernels::KernelsFor(DispatchLevel::kScalar);

@@ -2,7 +2,9 @@
 """Gate on the bench_kernels datapoint (BENCH_kernels.json).
 
 Always enforced:
-  * cross-level outputs were bitwise identical while timing;
+  * cross-level outputs were bitwise identical while timing (batched MAC,
+    factored genotype MAC and Cox scan);
+  * the datapoint timed the genotype MAC at every level it lists;
   * 2-bit genotype packing shrank the payload by ~4x (>= 3.5x allows for
     the per-block ceil(n/4) rounding at small n).
 
@@ -40,6 +42,11 @@ def main() -> int:
         print(f"[kernel-smoke] packing ratio {ratio:.2f}x >= {MIN_PACK_RATIO}x")
 
     levels = data.get("levels", {})
+    untimed = [name for name, level in levels.items()
+               if level.get("genotype_mac_seconds", 0.0) <= 0.0]
+    if untimed:
+        failures.append("genotype MAC not timed at " + ", ".join(untimed))
+
     optimized = data.get("optimized", False)
     sanitized = data.get("sanitized", False)
     if "avx2" not in levels:
