@@ -32,7 +32,7 @@ void RunSweep(const char* figure, const Workload& base,
   double uncached_at_cutoff = 0.0;
   for (std::uint64_t iters : iteration_counts) {
     Workload cached = base;
-    cached.pipeline.cache_contributions = true;
+    cached.pipeline.cache_genotypes = true;
     const auto cached_runs = TimeAnalysisRuns(
         cached, reps,
         [&](core::SkatPipeline& pipeline) {
@@ -44,7 +44,7 @@ void RunSweep(const char* figure, const Workload& base,
     std::string uncached_cell = "N/A";
     if (iters <= uncached_max) {
       Workload uncached = base;
-      uncached.pipeline.cache_contributions = false;
+      uncached.pipeline.cache_genotypes = false;
       // Keep the paper's uncached cost model honest: a batched pass would
       // amortize the lineage recomputation over the whole batch, which is
       // exactly the effect Figures 4/5 exist to show the absence of.
@@ -90,7 +90,7 @@ void RunConstrainedBudget(const Workload& base, int reps, const Args& args) {
   const std::uint64_t iters = args.GetU64("budget_iters", 100);
 
   Workload unlimited = base;
-  unlimited.pipeline.cache_contributions = true;
+  unlimited.pipeline.cache_genotypes = true;
   Workload tight = unlimited;
   tight.engine.cache_capacity_bytes = budget;
   tight.pipeline.cache_budget_bytes = budget;

@@ -69,7 +69,7 @@ int Run(int argc, char** argv) {
 
   Workload base = DefaultWorkload(args, /*snps_default=*/400,
                                   /*sets_default=*/40);
-  base.pipeline.cache_contributions = true;
+  base.pipeline.cache_genotypes = true;
   // Budget small enough to force eviction of cached genotype partitions,
   // so the run pays lineage recomputes alongside the lane's work (same
   // default shape as bench_caching's constrained-budget mode).

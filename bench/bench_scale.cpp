@@ -237,9 +237,8 @@ int Run(int argc, char** argv) {
       std::max<std::uint64_t>(1, args.GetU64("batch", 32));
   // Cache the decoded genotype partitions every Monte Carlo batch
   // rescores; under a tight budget an evicted partition is re-read off
-  // the mmap. cache_u=0 (the key predates the factored scores) ablates to
-  // re-reading every pass.
-  base.pipeline.cache_contributions = args.GetBool("cache_u", true);
+  // the mmap. cache_genotypes=0 ablates to re-reading every pass.
+  base.pipeline.cache_genotypes = args.GetBool("cache_genotypes", true);
   // The async I/O lane is the default here: streaming off the store is
   // exactly the workload prefetch exists to overlap.
   base.engine.exec.prefetch_depth =
@@ -266,14 +265,15 @@ int Run(int argc, char** argv) {
   char scale[320];
   std::snprintf(scale, sizeof(scale),
                 "patients=%u snps=%u sets=%u partitions=%u iters=%llu "
-                "batch=%llu prefetch=%d io_threads=%d cache_u=%d faithful=%d",
+                "batch=%llu prefetch=%d io_threads=%d cache_genotypes=%d "
+                "faithful=%d",
                 base.generator.num_patients, base.generator.num_snps,
                 base.generator.num_sets, base.pipeline.num_partitions,
                 static_cast<unsigned long long>(iters),
                 static_cast<unsigned long long>(
                     base.pipeline.resampling_batch_size),
                 base.engine.exec.prefetch_depth, base.engine.exec.io_threads,
-                base.pipeline.cache_contributions ? 1 : 0,
+                base.pipeline.cache_genotypes ? 1 : 0,
                 base.pipeline.paper_faithful_scores ? 1 : 0);
   PrintBanner("bench_scale",
               "Out-of-core paper scale: mmap'd genotype store + streaming "
@@ -389,7 +389,7 @@ int Run(int argc, char** argv) {
           "{\"bench\":\"bench_scale\",\"patients\":%u,\"snps\":%u,"
           "\"sets\":%u,\"partitions\":%u,\"iters\":%llu,\"batch\":%llu,"
           "\"prefetch\":%d,\"io_threads\":%d,"
-          "\"cache_u\":%s,\"faithful\":%s,\"store_bytes\":%llu,"
+          "\"cache_genotypes\":%s,\"faithful\":%s,\"store_bytes\":%llu,"
           "\"stage_seconds\":%.3f,\"rss_slack_mb\":%llu,"
           "\"hashes_identical\":%s,\"rss_within_budget\":%s,\"runs\":[",
           base.generator.num_patients, base.generator.num_snps,
@@ -397,7 +397,7 @@ int Run(int argc, char** argv) {
           static_cast<unsigned long long>(iters),
           static_cast<unsigned long long>(base.pipeline.resampling_batch_size),
           base.engine.exec.prefetch_depth, base.engine.exec.io_threads,
-          base.pipeline.cache_contributions ? "true" : "false",
+          base.pipeline.cache_genotypes ? "true" : "false",
           base.pipeline.paper_faithful_scores ? "true" : "false",
           static_cast<unsigned long long>(store_bytes), stage_seconds,
           static_cast<unsigned long long>(slack_mb),

@@ -16,7 +16,17 @@
 // Method: for each node count the job executes for real with that
 // cluster's cache budget (recomputation costs land in the measured task
 // times), then the virtual scheduler replays the recorded profile onto
-// the topology to produce the cluster makespan.
+// the topology to produce the cluster makespan. Each iteration is its
+// own engine pass (batch=1), as in the paper's Algorithm 3.
+//
+// The superlinear shape is NOT reproduced. The paper's cached RDD is U,
+// whose recompute (the O(n^2) Cox contributions of every SNP) dwarfs an
+// iteration over it. Monte Carlo here caches only the packed genotypes
+// and scores replicates from them, so the small cluster's recompute is a
+// re-read of the genotype text, barely dearer than the pass it feeds:
+// the 6->18 speedup stays below the 3x slot ratio (the shape check says
+// so). See EXPERIMENTS.md, Experiment C.
+#include <algorithm>
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -35,6 +45,10 @@ int Run(int argc, char** argv) {
       static_cast<std::uint32_t>(args.GetU64("partitions", 96));
   base.pipeline.num_reducers =
       static_cast<std::uint32_t>(args.GetU64("reducers", 32));
+  // One engine pass per iteration, so the 6-node cluster recomputes its
+  // evicted partitions every iteration as the paper's did.
+  base.pipeline.resampling_batch_size =
+      std::max<std::uint64_t>(1, args.GetU64("batch", 1));
 
   // The data are scaled ~50x below the paper's; the scheduling overheads
   // must scale with them or they dominate every prediction and flatten
@@ -94,7 +108,8 @@ int Run(int argc, char** argv) {
 
       Workload::Instance instance = workload.Build();
       instance.ctx->metrics().Reset();
-      core::RunResampling(*instance.pipeline, {core::ResamplingMethod::kMonteCarlo, iters}).scores;
+      core::RunResampling(*instance.pipeline,
+                          {core::ResamplingMethod::kMonteCarlo, iters});
       if (iters == iteration_counts.back() && nodes == node_counts.back()) {
         WriteRunArtifacts(args, *instance.ctx);
       }
@@ -123,12 +138,17 @@ int Run(int argc, char** argv) {
   figure6.Print();
   cache_table.Print();
 
+  // Superlinear means beyond the 3x slot ratio of 18 to 6 nodes.
+  const double slot_ratio = 3.0;
   std::printf("\nShape checks:\n");
-  std::printf("  6->18 node speedup at 20 iterations: %.1fx — superlinear "
-              "(>3x slot ratio) because the 6-node aggregate cache cannot "
-              "hold the cached RDD and every iteration recomputes it (paper "
-              "text: two orders of magnitude; see EXPERIMENTS.md)\n",
-              speedup_at_20);
+  std::printf("  6->18 node speedup at 20 iterations: %.1fx vs the %.0fx "
+              "slot ratio — %s (paper text: two orders of magnitude, from "
+              "the 6-node cluster recomputing its evicted U every "
+              "iteration; Monte Carlo here caches only the genotypes, "
+              "whose recompute is cheap; see EXPERIMENTS.md)\n",
+              speedup_at_20, slot_ratio,
+              speedup_at_20 > slot_ratio ? "superlinear, REPRODUCED"
+                                         : "NOT REPRODUCED");
   return 0;
 }
 

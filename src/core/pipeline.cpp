@@ -161,13 +161,13 @@ SkatPipeline::SkatPipeline(engine::EngineContext& ctx,
                                   std::memory_order_relaxed);
           return packed;
         });
-    if (config_.cache_contributions) {
+    if (config_.cache_genotypes) {
       // Every Monte Carlo batch and permutation replicate rescores the
       // genotypes; caching the packed form keeps those passes off the
       // parse chain at a quarter of the unpacked footprint.
       fgm_packed_.Cache();
     }
-  } else if (config_.cache_contributions) {
+  } else if (config_.cache_genotypes) {
     fgm_.Cache();
   }
 
@@ -315,7 +315,7 @@ Result<SkatPipeline> SkatPipeline::OpenFromStore(
       BuildMembership(pipeline.sets_));
   auto node = std::make_shared<StoreGenotypeNode>(&ctx, std::move(store),
                                                   std::move(membership));
-  if (pipeline.config_.cache_contributions) {
+  if (pipeline.config_.cache_genotypes) {
     // Cache decoded partitions under the budget; an evicted partition is
     // re-read from the store (see StoreGenotypeNode).
     node->EnableCache();

@@ -69,7 +69,7 @@ struct PipelineConfig {
   /// Cache the filtered genotype partitions (the packed form when
   /// `pack_genotypes` is set) that every Monte Carlo batch and
   /// permutation replicate rescores; Experiment B ablates it.
-  bool cache_contributions = true;
+  bool cache_genotypes = true;
 
   /// Memory budget for the engine's partition cache, applied to the
   /// context when the pipeline is built; 0 keeps the context's own
@@ -231,7 +231,7 @@ class SkatPipeline {
   engine::EngineContext* ctx_ = nullptr;
   PipelineConfig config_;
 
-  /// Filtered genotype RDD (step 4); cached when `cache_contributions` is
+  /// Filtered genotype RDD (step 4); cached when `cache_genotypes` is
   /// set and `pack_genotypes` is not.
   engine::Dataset<simdata::SnpRecord> fgm_;
 

@@ -13,8 +13,6 @@
 
 #include <emmintrin.h>
 
-#include <algorithm>
-
 namespace ss::stats::kernels::internal {
 namespace {
 
@@ -107,43 +105,6 @@ void SkatBurdenFoldSse2(const double* scores, std::size_t count, double weight,
   }
 }
 
-/// out[0 .. 2·kVectors) += the `m` rows at `offsets`, kVectors
-/// independent 2-lane chains.
-template <int kVectors>
-void AddRowsSse2(const double* scaled, const std::size_t* offsets,
-                 std::size_t m, double* out) {
-  __m128d acc[kVectors];
-  for (int g = 0; g < kVectors; ++g) acc[g] = _mm_loadu_pd(out + 2 * g);
-  for (std::size_t k = 0; k < m; ++k) {
-    const double* row = scaled + offsets[k];
-    for (int g = 0; g < kVectors; ++g) {
-      acc[g] = _mm_add_pd(acc[g], _mm_loadu_pd(row + 2 * g));
-    }
-  }
-  for (int g = 0; g < kVectors; ++g) _mm_storeu_pd(out + 2 * g, acc[g]);
-}
-
-void GenotypeMacSse2(const std::uint8_t* dosages, std::size_t n,
-                     const double* scaled, std::size_t count, double* out) {
-  std::fill(out, out + count, 0.0);
-  std::size_t offsets[kGenotypeChunk];
-  for (std::size_t begin = 0; begin < n; begin += kGenotypeChunk) {
-    const std::size_t m = GenotypeRowOffsets(
-        dosages, begin, std::min(n, begin + kGenotypeChunk), n, count,
-        offsets);
-    std::size_t r = 0;
-    // 16 replicates (eight chains) per pass over the offsets, then 2,
-    // then the scalar tail.
-    for (; r + 16 <= count; r += 16) {
-      AddRowsSse2<8>(scaled + r, offsets, m, out + r);
-    }
-    for (; r + 2 <= count; r += 2) {
-      AddRowsSse2<1>(scaled + r, offsets, m, out + r);
-    }
-    AddRowsScalar(scaled + r, offsets, m, count - r, out + r);
-  }
-}
-
 }  // namespace
 
 const KernelTable kSse2Table = {
@@ -151,7 +112,9 @@ const KernelTable kSse2Table = {
     &CoxScanSse2,
     &SkatFoldSse2,
     &SkatBurdenFoldSse2,
-    &GenotypeMacSse2,
+    // The genotype MAC is bound by streaming weight rows, not by the
+    // adds; 2-lane SSE2 chains measured no faster than scalar.
+    &GenotypeMacScalar,
 };
 
 }  // namespace ss::stats::kernels::internal

@@ -165,9 +165,9 @@ const std::vector<OptionKeyDef>& OptionKeyRegistry() {
       {"rss_slack_mb", OptionType::kU64, "",
        "bench_scale: fixed RSS slack (MiB) allowed above cache_budget "
        "for driver-side state", "bench", {}},
-      {"cache_u", OptionType::kBool, "1",
-       "bench_scale: cache the observed U RDD (Algorithm 3); 0 recomputes "
-       "it from streamed store frames every pass", "bench", {}},
+      {"cache_genotypes", OptionType::kBool, "1",
+       "bench_scale: cache the decoded genotype partitions; 0 re-reads "
+       "them from streamed store frames every pass", "bench", {}},
   };
   return kRegistry;
 }

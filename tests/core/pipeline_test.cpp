@@ -194,7 +194,7 @@ TEST(SkatPipelineTest, CachingConfigControlsCacheUse) {
   {
     engine::EngineContext ctx(LocalOptions());
     PipelineConfig config;
-    config.cache_contributions = true;
+    config.cache_genotypes = true;
     SkatPipeline pipeline = SkatPipeline::FromMemory(ctx, dataset, config);
     pipeline.ComputeObserved();
     EXPECT_GT(ctx.cache().stats().insertions, 0u);
@@ -206,7 +206,7 @@ TEST(SkatPipelineTest, CachingConfigControlsCacheUse) {
   {
     engine::EngineContext ctx(LocalOptions());
     PipelineConfig config;
-    config.cache_contributions = false;
+    config.cache_genotypes = false;
     SkatPipeline pipeline = SkatPipeline::FromMemory(ctx, dataset, config);
     pipeline.ComputeObserved();
     EXPECT_EQ(ctx.cache().stats().insertions, 0u);
